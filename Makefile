@@ -1,7 +1,7 @@
 # Development targets for the ARIES/RH reproduction.
 #
 #   make check     vet + build + full test suite + short race pass
-#   make ci        what .github/workflows/ci.yml runs (check + short fuzz)
+#   make ci        the CI pipeline; .github/workflows/ci.yml runs exactly this
 #   make race      race-detector run of the concurrency-sensitive packages
 #   make torture   fixed-seed fault-injection crash sweep (nightly CI job)
 #   make standby-demo  end-to-end log-shipping failover over TCP
@@ -14,15 +14,18 @@
 
 GO ?= go
 
-.PHONY: check ci vet staticcheck build test race fuzz-short torture standby-demo bench bench-e8 bench-e11 bench-e12 bench-e13 bench-e14 bench-e15
+.PHONY: check ci vet staticcheck build test perfbench-test race fuzz-short torture standby-demo bench bench-e8 bench-e11 bench-e12 bench-e13 bench-e14 bench-e15
 
 check: vet build test race
 
-# Mirror of the CI pipeline: full race (not -short) on the latch-heavy
-# packages plus a short fuzz pass over both wire-format decoders.
-ci: vet staticcheck build test
+# The CI pipeline, defined once: .github/workflows/ci.yml only installs
+# the tools and runs this target.  Full race (not -short) on the
+# latch-heavy packages, the short torture pass, the TCP failover demo,
+# and a short fuzz pass over every wire-format decoder.
+ci: vet staticcheck build test perfbench-test
 	$(GO) test -race ./internal/core ./internal/wal ./internal/repl ./internal/shard
-	$(GO) test -race -short -run 'TestReadsDuringRecovery|TestShardSweep' ./internal/torture
+	$(GO) test -race -short ./internal/torture ./internal/fault
+	$(MAKE) standby-demo
 	$(MAKE) fuzz-short
 
 # staticcheck is optional tooling: CI installs it, dev environments may
@@ -37,6 +40,8 @@ staticcheck:
 
 fuzz-short:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 30s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 20s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeSegmentHeader -fuzztime 15s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodePrepare -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 30s
 
@@ -48,6 +53,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is its own module (perfbench/go.mod), so
+# `go test ./...` does not reach its self-test.
+perfbench-test:
+	$(GO) -C perfbench test .
 
 # The packages whose hot paths drop and re-take latches: the core engine
 # (group commit, DelegateAll), the WAL (leader flusher and tail

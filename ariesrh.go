@@ -64,12 +64,13 @@ var (
 	ErrTxGone = core.ErrNoSuchTxn
 	// ErrCrashed is returned between Crash and Recover.
 	ErrCrashed = core.ErrCrashed
-	// ErrRecovering is returned by mutating operations while a parallel
-	// recovery pipeline (Options.ParallelRecovery) is still running.
-	// Reads stay available — each waits only for its own object's redo
-	// chain and undo gate — but writes must wait for the whole pipeline
-	// so they can never interleave with redo or the backward pass.  Retry
-	// after WaitRecovered returns (or when Health stops reporting
+	// ErrRecovering is returned by mutating operations while recovery is
+	// still running: after a Recover with Options.ParallelRecovery
+	// returned, or concurrently with a sequential one.  Reads stay
+	// available — each waits only for its own object's redo chain and
+	// undo gate — but writes must wait for the whole recovery so they can
+	// never interleave with redo or the backward pass.  Retry after
+	// WaitRecovered returns (or when Health stops reporting
 	// StateRecovering).
 	ErrRecovering = core.ErrRecovering
 	// ErrDegraded is returned (wrapped) by mutating operations after a
@@ -171,21 +172,24 @@ type Options struct {
 	// across restarts: recovery replays each shard's log independently
 	// and a moved object would resurrect on the wrong shard.
 	ShardRouter ShardRouter
-	// ParallelRecovery makes Recover (and a reopened database's implicit
-	// recovery) run as the instant-restart pipeline: a parallel scan of
-	// the log segments builds per-object redo chains, redo happens on
-	// demand — a read during recovery redoes just its object's chain and
-	// returns — and the backward undo sweep runs concurrently, gated per
-	// record on the redo it depends on.  Recover returns with the
-	// pipeline in flight; the database reports StateRecovering, serves
-	// reads, and rejects writes with ErrRecovering until WaitRecovered
-	// returns nil.
+	// ParallelRecovery selects when Recover (and a reopened database's
+	// implicit recovery) returns.  Recovery is one pipeline either way:
+	// a parallel scan builds per-object redo chains, analysis replays the
+	// log in order, chains are redone, and the undo sweep rolls back the
+	// losers.  Off, Recover returns when all of it is done.  On (instant
+	// restart), it returns after analysis: a read redoes just its
+	// object's chain on demand while the rest drains concurrently with
+	// undo.  While recovery runs, on either schedule, the database
+	// reports StateRecovering, serves reads (each gated on its own
+	// object's redo and undo) and rejects writes with ErrRecovering until
+	// WaitRecovered returns nil.  LastRecoveryTrace carries the scan,
+	// analysis, redo, undo and finish stages on both schedules, and its
+	// ForwardDur is scan plus analysis.
 	//
-	// Crash contract: unchanged.  The recovered state is identical to
-	// sequential recovery's, a read is served only after its object's
-	// redo chain and every loser cluster covering it are applied, and a
-	// pipeline failure returns the database to StateCrashed with the
-	// error reported by WaitRecovered; Recover may then be retried.
+	// Crash contract: unchanged, and the recovered state is the same on
+	// both schedules.  A failure returns the database to StateCrashed with
+	// the error from Recover (from WaitRecovered, with the flag on);
+	// Recover may then be retried.
 	ParallelRecovery bool
 }
 
@@ -326,9 +330,10 @@ func (db *DB) Crash() error {
 // handled by running Recover again — and tolerates a torn record at the
 // log's tail (the expected signature of a crash mid-flush).
 //
-// With Options.ParallelRecovery, Recover returns once the pipeline is
-// started: reads are served immediately (each triggering on-demand redo
-// of its own object), writes return ErrRecovering until WaitRecovered.
+// Recover returns once recovery is complete.  With
+// Options.ParallelRecovery it returns once analysis is done instead:
+// reads are served immediately (each triggering on-demand redo of its
+// own object), writes return ErrRecovering until WaitRecovered.
 //
 // Sharded databases recover every shard concurrently, then resolve
 // in-doubt two-phase participants from the coordinator shard's durable
@@ -341,12 +346,13 @@ func (db *DB) Recover() error {
 	return db.eng.Recover()
 }
 
-// WaitRecovered blocks until the in-flight parallel recovery (or
-// promotion) pipeline completes and returns its outcome: nil once the
-// database is writable, or the pipeline's error — after which the
-// database is back in StateCrashed and Recover may be retried.  Without
-// Options.ParallelRecovery (or with no recovery running) it returns
-// immediately: nil when healthy, ErrCrashed between Crash and Recover.
+// WaitRecovered blocks until the in-flight recovery (or promotion)
+// completes and returns its outcome: nil once the database is writable,
+// or the recovery's error — after which the database is back in
+// StateCrashed and Recover may be retried.  With no recovery running —
+// always the case once a Recover without Options.ParallelRecovery has
+// returned — it returns immediately: nil when healthy, ErrCrashed
+// between Crash and Recover.
 func (db *DB) WaitRecovered() error {
 	if db.sh != nil {
 		return db.sh.WaitRecovered()
@@ -369,10 +375,11 @@ const (
 	StateDegraded = core.StateDegraded
 	// StateCrashed: between Crash and Recover.
 	StateCrashed = core.StateCrashed
-	// StateRecovering: a parallel recovery pipeline
-	// (Options.ParallelRecovery) is running.  Reads are served — each
-	// gated on its own object's redo and undo — while mutations return
-	// ErrRecovering until WaitRecovered.
+	// StateRecovering: recovery (or promotion) is running — after a
+	// Recover with Options.ParallelRecovery returned, or concurrently
+	// with a sequential one.  Reads are served — each gated on its own
+	// object's redo and undo — while mutations return ErrRecovering
+	// until WaitRecovered.
 	StateRecovering = core.StateRecovering
 )
 

@@ -92,7 +92,13 @@ func runDelegationFreeWorkload(t *testing.T, e claimEngine) {
 // comparison is made in internal/obs counter units on the RH side against
 // the baseline engine's own counters.
 func TestClaimC1DelegationFreeParity(t *testing.T) {
-	rh, err := New(Options{GroupCommit: GroupCommitOff})
+	forEachSchedule(t, func(t *testing.T, parallel bool) {
+		testClaimC1DelegationFreeParity(t, parallel)
+	})
+}
+
+func testClaimC1DelegationFreeParity(t *testing.T, parallel bool) {
+	rh, err := New(Options{GroupCommit: GroupCommitOff, ParallelRecovery: parallel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +107,7 @@ func TestClaimC1DelegationFreeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	runDelegationFreeWorkload(t, rh)
+	mustDo(t, rh.WaitRecovered())
 	runDelegationFreeWorkload(t, base)
 
 	m := rh.Metrics()
@@ -205,9 +212,14 @@ func TestClaimC2DelegateCostLinear(t *testing.T) {
 // each, at strictly decreasing LSNs — a single monotone sweep, exactly
 // like ARIES' undo, with no extra passes over the log.  The visit order
 // is captured from the undo.visit event stream and the at-most-once bound
-// from the undo.visited/undo.skipped counters.
+// from the undo.visited/undo.skipped counters.  Both recovery schedules
+// run the same sweep and must satisfy the same invariant.
 func TestClaimC3UndoVisitInvariant(t *testing.T) {
-	e, err := New(Options{GroupCommit: GroupCommitOff})
+	forEachSchedule(t, testClaimC3UndoVisitInvariant)
+}
+
+func testClaimC3UndoVisitInvariant(t *testing.T, parallel bool) {
+	e, err := New(Options{GroupCommit: GroupCommitOff, ParallelRecovery: parallel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +247,7 @@ func TestClaimC3UndoVisitInvariant(t *testing.T) {
 			visits = append(visits, wal.LSN(ev.LSN))
 		}
 	})
-	if err := e.Recover(); err != nil {
+	if err := recoverAndWait(e); err != nil {
 		t.Fatal(err)
 	}
 	e.SetEventHook(nil)

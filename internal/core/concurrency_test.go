@@ -178,10 +178,15 @@ func TestConcurrentDelegationHandoff(t *testing.T) {
 }
 
 // TestFullScanUndoAblationEquivalent: the rejected full-scan undo produces
-// the same state as the cluster sweep, at a higher visit count.
+// the same state as the cluster sweep, at a higher visit count, on both
+// recovery schedules.
 func TestFullScanUndoAblationEquivalent(t *testing.T) {
+	forEachSchedule(t, testFullScanUndoAblationEquivalent)
+}
+
+func testFullScanUndoAblationEquivalent(t *testing.T, parallel bool) {
 	run := func(fullScan bool) (*Engine, uint64) {
-		e, err := New(Options{PoolSize: 64, FullScanUndo: fullScan})
+		e, err := New(Options{PoolSize: 64, FullScanUndo: fullScan, ParallelRecovery: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,6 +71,7 @@ func (e *Engine) Increment(tx wal.TxID, obj wal.ObjectID, delta int64) (int64, e
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.writableLocked(); err != nil {
+		e.activeAfterLockLocked(tx) // drop a dead tx's stale grant; see Update
 		return 0, err
 	}
 	info, err := e.activeAfterLockLocked(tx)
@@ -125,45 +126,6 @@ func (e *Engine) CounterValue(obj wal.ObjectID) (int64, error) {
 		return 0, err
 	}
 	return DecodeCounter(v)
-}
-
-// undoIncrement compensates an increment logically: a CLR carrying the
-// negated delta is logged and applied.
-func (e *Engine) undoIncrement(owner wal.TxID, rec *wal.Record) error {
-	return e.undoIncrementInto(owner, rec, &e.stats)
-}
-
-// undoIncrementInto is undoIncrement with an explicit stats sink; see
-// undoUpdateInto.
-func (e *Engine) undoIncrementInto(owner wal.TxID, rec *wal.Record, st *Stats) error {
-	info := e.txns.Get(owner)
-	prev := wal.NilLSN
-	if info != nil {
-		prev = info.LastLSN
-	}
-	clr := &wal.Record{
-		Type:        wal.TypeCLR,
-		TxID:        owner,
-		PrevLSN:     prev,
-		Object:      rec.Object,
-		UndoNextLSN: rec.PrevLSN,
-		Compensates: rec.LSN,
-		Logical:     true,
-		Delta:       -rec.Delta,
-	}
-	lsn, err := e.log.Append(clr)
-	if err != nil {
-		return err
-	}
-	if err := e.applyDelta(rec.Object, clr.Delta, lsn); err != nil {
-		return err
-	}
-	if info != nil {
-		info.LastLSN = lsn
-	}
-	st.CLRs++
-	e.met.clrs.Inc()
-	return nil
 }
 
 // applyDelta adds delta to the stored counter, stamping the page with lsn.

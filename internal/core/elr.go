@@ -258,7 +258,7 @@ func (e *Engine) elrFlushFailureLocked() error {
 			scopes = append(scopes, ol.OwnedScopes(v.tx)...)
 		}
 	}
-	if err := e.undoScopes(scopes, nil); err != nil {
+	if err := e.undoScopes(scopes, undoSweep{}); err != nil {
 		return err
 	}
 	// Terminate each victim: abort + end records and volatile cleanup.

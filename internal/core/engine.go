@@ -16,6 +16,8 @@
 // analysis+redo pass that replays delegate records into the object lists,
 // then a backward pass that undoes exactly the loser updates by sweeping
 // clusters of overlapping loser scopes in strictly decreasing LSN order.
+// Recovery, promotion and follower catch-up are one pipeline (instant.go);
+// Options.ParallelRecovery only chooses its schedule.
 //
 // Crashes are simulated: Crash discards all volatile state (buffer pool,
 // lock table, transaction table, object lists, unflushed log tail) and
@@ -49,8 +51,9 @@ var (
 	// ErrCrashed is returned for operations attempted between Crash and
 	// Recover.
 	ErrCrashed = errors.New("core: engine crashed; run Recover")
-	// ErrRecovering is returned for mutating operations while a parallel
-	// recovery (or promotion) pipeline is still running: reads are served
+	// ErrRecovering is returned for mutating operations while a recovery
+	// (or promotion) pipeline is still running — after a parallel Recover
+	// returned, or concurrently with a sequential one: reads are served
 	// as soon as their object's redo and undo are settled, but writes
 	// must wait for the whole pipeline so they can never interleave with
 	// redo or the backward pass.  Retry after WaitRecovered (or when
@@ -90,10 +93,10 @@ const (
 	// served at the replayed LSN, mutations are rejected with
 	// ErrFollower until Promote.
 	StateFollower
-	// StateRecovering: a parallel recovery (or promotion) pipeline is
-	// running.  Reads are available — each waits only for its own
-	// object's redo chain and undo gate — while mutations are rejected
-	// with ErrRecovering until the pipeline completes.
+	// StateRecovering: a recovery (or promotion) pipeline is running.
+	// Reads are available — each waits only for its own object's redo
+	// chain and undo gate — while mutations are rejected with
+	// ErrRecovering until the pipeline completes.
 	StateRecovering
 )
 
@@ -165,11 +168,11 @@ type Options struct {
 	// DisableChaining skips delegate-record backward-chain maintenance;
 	// used only by ablation benchmarks.
 	DisableChaining bool
-	// FullScanUndo replaces the cluster sweep of the recovery backward
-	// pass with the naïve alternative §3.6.2 rejects: scan every log
-	// record backwards, testing each against the loser scopes.  Results
-	// are identical; only the visit counts differ.  Ablation benchmarks
-	// only.
+	// FullScanUndo replaces the cluster order of the recovery (and
+	// promotion) backward sweep with the naïve alternative §3.6.2
+	// rejects: scan every log record backwards, testing each against the
+	// loser scopes.  Results are identical on either recovery schedule;
+	// only the visit counts differ.  Ablation benchmarks only.
 	FullScanUndo bool
 	// GroupCommit selects commit-time log forcing; the zero value
 	// (GroupCommitAuto) enables coalesced group commit.
@@ -208,26 +211,27 @@ type Options struct {
 	// guarantees no dependent's commit record survives a predecessor's
 	// lost one.
 	EarlyLockRelease bool
-	// ParallelRecovery rebuilds Recover (and Promote) as the three-stage
-	// instant-restart pipeline: a manifest-driven parallel scan of the
-	// log segments builds per-object redo chains, redo runs on demand —
-	// a read during recovery redoes just its object's chain and returns,
-	// while background workers drain the rest by descending heat — and
-	// the backward cluster-undo pass runs concurrently with tail redo,
-	// gated per record on the redo of the pages it touches.  Recover
-	// returns once the pipeline is started; the engine then reports
-	// StateRecovering, serves reads (each gated on its own object's redo
-	// and undo), and rejects writes with ErrRecovering until the
-	// pipeline completes (WaitRecovered blocks for it).
+	// ParallelRecovery selects the schedule of the recovery pipeline
+	// (scan, analysis, per-object chain redo, cluster undo, finish) that
+	// Recover, the implicit recovery in New, and Promote run.  Off, the
+	// call returns once recovery is complete, with redo drained before
+	// undo starts.  On (instant restart), it returns right after
+	// analysis; redo drains in the background concurrently with the undo
+	// sweep, which redoes an object's chain before compensating it.
 	//
-	// Crash contract: unchanged.  The recovered state is byte-identical
-	// to sequential recovery's — redo baselines are captured per page
-	// before the pipeline's first write to that page, the undo sweep
-	// still visits loser clusters in strictly decreasing LSN order, and
-	// a read is served only after its object's redo chain has applied
-	// AND every loser cluster covering the object has been undone.  A
-	// pipeline failure returns the engine to the crashed state;
-	// WaitRecovered reports the error and Recover may be retried.
+	// While the pipeline runs — after a parallel Recover returned, or
+	// concurrently with a sequential one — the engine reports
+	// StateRecovering, serves reads (each redoes its object's chain on
+	// demand and waits until every loser cluster covering the object is
+	// undone), and rejects writes with ErrRecovering; WaitRecovered
+	// blocks until it completes.  On both schedules LastRecoveryTrace
+	// carries the five stages, and ForwardDur is scan plus analysis.
+	//
+	// Crash contract: unchanged, and the recovered state is the same on
+	// both schedules.  A pipeline failure returns the engine to the
+	// crashed state (follower mode, for Promote) with the error from
+	// Recover or Promote — from WaitRecovered, on the parallel schedule —
+	// and the call may be retried.
 	ParallelRecovery bool
 }
 
@@ -295,11 +299,12 @@ type Engine struct {
 	master  *masterRecord
 	crashed bool
 	// follower marks a replication standby: recovery's forward pass runs
-	// continuously (FollowerApply), writes are rejected, and frs holds
-	// the live replay state Promote finishes from.  replayedLSN is the
-	// consistency point follower reads are served at.
+	// continuously (FollowerApply), writes are rejected, and compensated
+	// holds the forward pass's compensated update LSNs Promote's backward
+	// sweep skips.  replayedLSN is the consistency point follower reads
+	// are served at.
 	follower    bool
-	frs         *replayState
+	compensated map[wal.LSN]bool
 	replayedLSN wal.LSN
 	// degraded holds the persistent device error that moved the engine
 	// to read-only degraded mode (nil while healthy).  See ErrDegraded.
@@ -314,16 +319,17 @@ type Engine struct {
 	met       engineMetrics
 	lastTrace RecoveryTrace
 
-	// recoveryFailpoint, when positive, makes the NEXT Recover fail
-	// after that many backward-pass CLRs — fault injection for
-	// crash-during-recovery testing.  One-shot; cleared when it fires.
+	// recoveryFailpoint, when positive, makes the NEXT Recover or Promote
+	// fail after that many backward-pass CLRs — fault injection for
+	// crash-during-recovery testing.  One-shot; consumed by the next
+	// pipeline.
 	recoveryFailpoint int
 
-	// recovering is the live instant-restart pipeline while a parallel
-	// Recover (or Promote) is in flight, nil otherwise.  While set, the
-	// pipeline's goroutines own the transaction table, the object lists
-	// and all page applications; every other path must either route
-	// through it (reads) or reject with ErrRecovering (writes).
+	// recovering is the live recovery pipeline while a Recover (or
+	// Promote) is in flight, nil otherwise.  While set, the pipeline owns
+	// the transaction table, the object lists and all page applications;
+	// every other path must either route through it (reads) or reject
+	// with ErrRecovering (writes).
 	recovering *recoveryPipeline
 	// recoveryHold, when non-nil, makes the next pipeline block right
 	// before flipping the engine back to healthy until the channel is
@@ -384,7 +390,7 @@ func New(opts Options) (*Engine, error) {
 		// transactions are not losers yet, their object lists stay live
 		// for the records FollowerApply will ship.
 		e.follower = true
-		e.frs = newReplayState()
+		e.compensated = make(map[wal.LSN]bool)
 		e.mu.Lock()
 		err := e.followerCatchUpLocked()
 		e.mu.Unlock()
@@ -476,7 +482,7 @@ func (e *Engine) LogStats() wal.AccessStats { return e.log.Stats() }
 
 // ReadObject returns the current stable/buffered value of obj without any
 // locking — for tests, tools and the history checker, not for transactions.
-// During a parallel recovery it is the recovering-reads surface: the call
+// During recovery it is the recovering-reads surface: the call
 // triggers on-demand redo of obj's chain, waits for any loser cluster
 // covering obj to be undone, and returns the fully recovered value — it
 // never observes a half-recovered object.
@@ -581,20 +587,22 @@ func (e *Engine) OpList(tx wal.TxID) ([]wal.LSN, error) {
 	return out, nil
 }
 
-// SetRecoveryFailpoint arms a one-shot fault: the next Recover returns
-// ErrInjectedRecoveryFailure after writing n compensation log records in
-// its backward pass, leaving the system exactly as a crash during recovery
-// would.  Testing hook; n <= 0 disarms.
+// SetRecoveryFailpoint arms a one-shot fault: the next Recover (or
+// Promote) fails with ErrInjectedRecoveryFailure after writing n
+// compensation log records in its backward pass, leaving the system
+// exactly as a crash during recovery would.  On the parallel schedule the
+// error surfaces from WaitRecovered.  Testing hook; n <= 0 disarms.
 func (e *Engine) SetRecoveryFailpoint(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.recoveryFailpoint = n
 }
 
-// SetRecoveryHold arms a one-shot testing hook for parallel recovery:
+// SetRecoveryHold arms a one-shot testing hook for the recovery pipeline:
 // the next pipeline completes all of its work — redo drain, backward
 // pass, loser termination, the final log force — but blocks right before
-// flipping the engine back to a writable state until ch is closed.
+// flipping the engine back to a writable state until ch is closed (on the
+// sequential schedule, Recover does not return until then).
 // Reads are fully served during the hold (every gate has been released);
 // writes keep returning ErrRecovering.  This gives tests a
 // deterministic window in which to observe the recovering state; nil
@@ -641,7 +649,7 @@ func (e *Engine) FlushPages() error {
 	return nil
 }
 
-// drainRecovery waits for any live parallel-recovery pipeline to finish
+// drainRecovery waits for any live recovery pipeline to finish
 // (successfully or not) so the caller can take exclusive ownership of the
 // engine's volatile state.  Returns with no latch held.
 func (e *Engine) drainRecovery() {
@@ -659,10 +667,9 @@ func (e *Engine) drainRecovery() {
 // Crash simulates a failure: the unflushed log tail, buffer pool, lock
 // table, transaction table and all object lists are lost.  Stable storage
 // (flushed log, written pages, master record) survives.  The engine
-// rejects new work until Recover is called.  A parallel recovery still in
-// flight is drained first — the crash then lands on whatever that
-// recovery made durable, exactly as a crash during sequential recovery
-// would land on its durable prefix.
+// rejects new work until Recover is called.  A recovery still in flight is
+// drained first — the crash then lands on whatever that recovery made
+// durable.
 func (e *Engine) Crash() error {
 	e.drainRecovery()
 	e.mu.Lock()
@@ -697,7 +704,7 @@ func (e *Engine) Crash() error {
 
 // Close flushes everything for a clean shutdown and releases the stable
 // stores (log, master record and disk), including any file handles behind
-// them.  A parallel recovery still in flight is waited for first.
+// them.  A recovery still in flight is waited for first.
 func (e *Engine) Close() error {
 	e.drainRecovery()
 	e.mu.Lock()

@@ -150,3 +150,59 @@ func TestDegradedAbortWithoutForce(t *testing.T) {
 		t.Fatalf("Health = %v, want degraded after the failed abort force", h.State)
 	}
 }
+
+// TestDegradedDropsStaleLockGrant pins a lock leak that wedged the ELR
+// crash sweep: a transaction terminated while parked in a lock wait (here
+// by a cascaded abort) must not keep the lock once the wait is granted,
+// even if the engine degraded meanwhile and the operation fails on the
+// writability check.  Nobody can abort a dead transaction, so a kept
+// grant would block every later waiter on the object forever.
+func TestDegradedDropsStaleLockGrant(t *testing.T) {
+	store := fault.NewDir(fault.Plan{})
+	e, err := New(Options{LogDir: store, GroupCommit: GroupCommitOn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder := mustBegin(t, e)
+	mustUpdate(t, e, holder, 1, "held")
+	victim := mustBegin(t, e)
+	cause := mustBegin(t, e)
+	if err := e.FormDependency(victim, cause, AbortDependency); err != nil {
+		t.Fatal(err)
+	}
+
+	// Park the victim behind the holder's X lock.
+	errc := make(chan error, 1)
+	go func() { errc <- e.Update(victim, 1, []byte("late")) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Metrics().Gauge("lock.waiters") != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("victim never blocked on the holder's lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mustAbort(t, e, cause) // cascades: the victim dies while parked
+
+	// Degrade the engine with a commit whose force fails.
+	store.SetFailAllSyncs(true)
+	other := mustBegin(t, e)
+	mustUpdate(t, e, other, 2, "never durable")
+	if err := e.Commit(other); err == nil {
+		t.Fatal("commit succeeded on a dead device")
+	}
+
+	// The holder's abort (allowed while degraded) grants the dead
+	// victim's queued request; its Update then fails the degraded check.
+	mustAbort(t, e, holder)
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrDegraded) {
+			t.Fatalf("victim Update = %v, want ErrDegraded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("victim Update never returned")
+	}
+	if _, held := e.locks.Holds(victim, 1); held {
+		t.Fatal("terminated transaction still holds its lock on object 1")
+	}
+}

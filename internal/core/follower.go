@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"ariesrh/internal/wal"
 )
@@ -16,9 +15,10 @@ import (
 // every in-flight transaction — so at any instant the follower holds
 // precisely the state a crashed primary's recovery would have after its
 // forward pass.  That is what makes Promote cheap and honest: it runs the
-// existing backward sweep over clusters of loser scopes
-// (finishRecoveryLocked) and nothing else.  There is no separate
-// promotion code path to trust.
+// recovery pipeline (instant.go) from classification on — the backward
+// sweep over clusters of loser scopes, loser termination, the final
+// force — and nothing else.  There is no separate promotion code path to
+// trust.
 
 // ErrFollower is returned for mutating operations on a follower engine;
 // Promote turns the follower into a primary that accepts them.
@@ -32,26 +32,20 @@ func (e *Engine) IsFollower() bool {
 }
 
 // followerCatchUpLocked replays the local log from the last checkpoint
-// (analysis + redo, no undo) into the follower's live replay state.  On a
+// into the follower's live replay state: the recovery pipeline's scan,
+// analysis and redo stages, with no classification and no undo.  On a
 // restored backup this is exactly restart recovery's forward pass; the
 // difference is that in-flight transactions are left live — the stream
 // will decide their fate — instead of being rolled back as losers.
 func (e *Engine) followerCatchUpLocked() error {
-	scanStart, analysisAfter, err := e.locateCheckpointLocked()
-	if err != nil {
+	p := e.newPipelineLocked(e.compensated)
+	if err := p.scanLocked(); err != nil {
 		return err
 	}
-	e.log.ResetReadCursor()
-	err = e.log.Scan(scanStart, wal.NilLSN, func(rec *wal.Record) (bool, error) {
-		e.stats.RecForwardRecords++
-		if err := e.applyRecordLocked(rec, rec.LSN > analysisAfter, e.frs); err != nil {
-			return false, err
-		}
-		return true, nil
-	})
-	if err != nil {
+	if err := p.drain(); err != nil {
 		return err
 	}
+	e.stats.RecRedone += p.stats.RecRedone
 	e.replayedLSN = e.log.Head()
 	e.met.replReplayed.Set(int64(e.replayedLSN))
 	return nil
@@ -80,9 +74,18 @@ func (e *Engine) FollowerApply(recs []*wal.Record) error {
 		if _, err := e.log.Append(rec); err != nil {
 			return err
 		}
+		// Analysis and redo of one record, as in restart recovery.  A
+		// shipped record is always above the local head, so no page can
+		// already reflect it.
 		e.stats.RecForwardRecords++
-		if err := e.applyRecordLocked(rec, true, e.frs); err != nil {
+		if err := e.analyzeRecordLocked(rec, true, e.compensated); err != nil {
 			return err
+		}
+		if redoable(rec) {
+			if err := e.redoRecord(rec); err != nil {
+				return err
+			}
+			e.stats.RecRedone++
 		}
 		e.replayedLSN = rec.LSN
 	}
@@ -127,7 +130,7 @@ func (e *Engine) ReplayedLSN() wal.LSN {
 func (e *Engine) FollowerRead(obj wal.ObjectID) ([]byte, bool, wal.LSN, error) {
 	e.mu.Lock()
 	if p := e.recovering; p != nil {
-		// A parallel promotion is sweeping the loser clusters; the read
+		// A promotion is sweeping the loser clusters; the read
 		// waits for its object's undo gate, so it observes either the
 		// follower value (object untouched by losers) or the promoted
 		// one — never a half-undone state.
@@ -146,47 +149,44 @@ func (e *Engine) FollowerRead(obj wal.ObjectID) ([]byte, bool, wal.LSN, error) {
 
 // Promote turns the follower into a primary.  The follower's replay state
 // IS a completed recovery forward pass, so promotion is exactly the rest
-// of recovery: classify winners and losers, run the existing backward
-// cluster sweep over the loser scopes, terminate the losers, force the
-// log (§3.6.2).  On success the engine accepts writes; on error it
-// remains a follower and Promote may be retried (the CLRs already written
-// are found via the compensated map and not re-applied).
+// of recovery: classify winners and losers, run the backward cluster
+// sweep over the loser scopes, terminate the losers, force the log
+// (§3.6.2).  On success the engine accepts writes; on error it remains a
+// follower and Promote may be retried (the CLRs already written are found
+// via the compensated set and not re-applied).
 //
-// With Options.ParallelRecovery the backward pass runs as a pipeline:
-// Promote returns once the sweep is started, the engine reports
-// StateRecovering, follower reads keep flowing (each gated on the undo of
-// the loser clusters covering its object), and writes are accepted after
-// WaitRecovered returns nil.
+// Promote runs the recovery pipeline on the schedule
+// Options.ParallelRecovery selects.  Without it, Promote returns once the
+// promotion is complete.  With it, Promote returns once the sweep is
+// started; the engine reports StateRecovering, follower reads keep
+// flowing (each gated on the undo of the loser clusters covering its
+// object), and writes are accepted after WaitRecovered returns nil.
 func (e *Engine) Promote() error {
-	if e.opts.ParallelRecovery {
-		return e.promoteParallel()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	return e.runPipeline(e.setupPromotionLocked)
+}
+
+// setupPromotionLocked installs a promotion pipeline over the follower's
+// replay state.  Caller holds e.mu.
+func (e *Engine) setupPromotionLocked() (*recoveryPipeline, error) {
 	if !e.follower {
-		return fmt.Errorf("core: Promote on a non-follower engine")
+		return nil, fmt.Errorf("core: Promote on a non-follower engine")
 	}
 	if e.crashed {
-		return ErrCrashed
+		return nil, ErrCrashed
 	}
 	// The replayed prefix must be durable before the backward pass piles
 	// CLRs on top of it (write-ahead: a CLR's flush assumes everything
 	// below it is already on the device).
 	if err := e.log.Flush(e.log.Head()); err != nil {
-		return err
+		return nil, err
 	}
 	e.met.recRuns.Inc()
-	book := recoveryBook{
-		totalStart:     time.Now(),
-		statsBefore:    e.stats,
-		clustersBefore: e.met.undoClusters.Load(),
-		// forwardDur stays zero: the forward pass already ran,
-		// continuously, as the follower applied the stream.
-	}
-	if err := e.finishRecoveryLocked(e.frs, book); err != nil {
-		return err
+	p := e.newPipelineLocked(e.compensated)
+	p.promotion = true
+	if err := p.installLocked(); err != nil {
+		return nil, err
 	}
 	e.follower = false
-	e.frs = nil
-	return nil
+	e.compensated = nil
+	return p, nil
 }

@@ -263,3 +263,51 @@ func TestFollowerFlushBoundsAcks(t *testing.T) {
 		}
 	}
 }
+
+// TestPromoteRetryAfterInjectedFailure: a promotion that fails midway
+// leaves the engine a follower, and a retried Promote finishes the job
+// without compensating any record twice — a logical counter CLR applied
+// twice would over-correct the counter.  Runs on both schedules.
+func TestPromoteRetryAfterInjectedFailure(t *testing.T) {
+	forEachSchedule(t, func(t *testing.T, parallel bool) {
+		p, err := New(Options{GroupCommit: GroupCommitOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		setup, _ := p.Begin()
+		_, err = p.Increment(setup, 1, 10)
+		mustDo(t, err)
+		mustDo(t, p.Commit(setup))
+		loser, _ := p.Begin()
+		_, err = p.Increment(loser, 1, 5)
+		mustDo(t, err)
+		_, err = p.Increment(loser, 1, 7)
+		mustDo(t, err)
+
+		f, err := New(Options{Follower: true, ParallelRecovery: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustDo(t, f.FollowerApply(shipAll(t, p)))
+
+		f.SetRecoveryFailpoint(1)
+		err = f.Promote()
+		if err == nil {
+			err = f.WaitRecovered()
+		}
+		if !errors.Is(err, ErrInjectedRecoveryFailure) {
+			t.Fatalf("first Promote = %v, want the injected failure", err)
+		}
+		if h := f.Health(); h.State != StateFollower {
+			t.Fatalf("health after failed promotion = %v, want follower", h.State)
+		}
+		mustDo(t, f.Promote())
+		mustDo(t, f.WaitRecovered())
+		if v, err := f.CounterValue(1); err != nil || v != 10 {
+			t.Fatalf("counter after retried promotion = %d (%v), want 10", v, err)
+		}
+		if tr := f.LastRecoveryTrace(); tr.CLRs != 1 {
+			t.Fatalf("retried promotion wrote %d CLRs, want 1 (the other was written before the failure)", tr.CLRs)
+		}
+	})
+}

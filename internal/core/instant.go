@@ -1,51 +1,50 @@
 package core
 
-// Instant restart: the parallel recovery pipeline behind
-// Options.ParallelRecovery.
+// The recovery engine.  Restart recovery (Recover, including the implicit
+// recovery in New), promotion (Promote) and follower catch-up all run one
+// pipeline (§3.6):
 //
-// Sequential recovery (recovery.go) redoes the whole log before the first
-// read can be served, so restart latency grows linearly with log length.
-// The pipeline decouples the two:
+//	scan     — one worker per log segment groups the redoable records
+//	           (updates, increments, CLRs) into per-object redo chains.
+//	analysis — every scanned record is replayed, strictly in LSN order,
+//	           into the transaction table and the object lists (a
+//	           delegate record rewrites the scopes the records before it
+//	           built), then winners and losers are classified.
+//	redo     — each chain is applied exactly once: by the drainer
+//	           (longest chain first), by a read of the object, or by the
+//	           undo sweep before it compensates a record of the object (a
+//	           CLR — especially a logical counter CLR — must land on a
+//	           fully redone object).
+//	undo     — undoScopes, the backward cluster sweep abort also uses,
+//	           hooked to redo before undo and to release read gates.
+//	finish   — losers are terminated, the log is forced, the trace is
+//	           recorded and the engine flips back to writable.
 //
-//	Stage 1 — parallel log scan.  The segmented WAL's manifest already
-//	  splits the log into sealed, immutable segments; one worker per
-//	  segment groups the redoable records (updates, increments, CLRs)
-//	  into per-object redo chains.  No page is touched.
-//	Stage 2 — on-demand redo.  A read during recovery redoes just its
-//	  object's chain and returns; a background drainer applies the
-//	  remaining chains by descending heat (longest chain first).
-//	Stage 3 — backward cluster undo, started concurrently with tail
-//	  redo.  Before undoing a record the worker applies that object's
-//	  redo chain (the redo-before-undo gate: a CLR — especially a
-//	  logical counter CLR — must land on a fully redone object), and a
-//	  read of an object covered by a loser scope waits until the sweep
-//	  has passed below the lowest First of the scopes covering it.
+// Options.ParallelRecovery chooses only the schedule.  Off, Recover and
+// Promote run the pipeline to completion on the calling goroutine, and
+// the redo drain finishes before undo starts.  On, they return after
+// analysis; redo drains in the background concurrently with undo.
+// Promotion starts at classification — the follower's replay state is a
+// completed forward pass — and follower catch-up stops after redo.
 //
-// Analysis cannot be parallelised — a delegate record rewrites the scopes
-// the records before it built — so it runs sequentially over the scanned
-// shards during setup, which is cheap: the shard records are already
-// decoded and analysis touches only the volatile tables.
-//
-// Correctness hinges on one rule the sequential path gets for free from
-// LSN-ordered redo: a page flushed at pageLSN pl contains exactly the
-// updates with LSN ≤ pl of EVERY object stored on it, so each object's
-// redo baseline must be its page's pre-recovery pageLSN.  The pipeline
-// applies chains (and writes CLRs) out of global LSN order, and any such
-// write ratchets the shared page's LSN — which would corrupt the baseline
-// of objects on the same page whose chains apply later.  Therefore every
-// page application runs under one applyMu, and the page's stable pageLSN
-// is captured into pageBase at the first pipeline touch, before the first
-// pipeline write to it.  applyMu also keeps recovering reads atomic with
-// pipeline writes; the parallelism that pays for time-to-first-read lives
-// in the scan and in the ORDER of redo (on-demand first), not in
-// concurrent page writes, which the shared buffer pool would serialise
-// anyway.
+// Correctness hinges on one rule LSN-ordered redo would get for free: a
+// page flushed at pageLSN pl contains exactly the updates with LSN ≤ pl of
+// EVERY object stored on it, so each object's redo baseline must be its
+// page's pre-recovery pageLSN.  Chains apply (and undo writes CLRs) out of
+// global LSN order, and any such write ratchets the shared page's LSN —
+// which would corrupt the baseline of objects on the same page whose
+// chains apply later.  Therefore every page application runs under one
+// applyMu, and the page's stable pageLSN is captured into pageBase at the
+// first pipeline touch, before the first pipeline write to it.  applyMu
+// also keeps recovering reads atomic with pipeline writes; the
+// parallelism that pays for time-to-first-read lives in the scan and in
+// the ORDER of redo (on-demand first), not in concurrent page writes,
+// which the shared buffer pool would serialise anyway.
 //
 // Lock order: e.mu → applyMu.  Goroutines holding applyMu never take
 // e.mu; the finisher takes e.mu and never applyMu.
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -60,8 +59,8 @@ import (
 
 // objectChain is one object's redo work: its redoable records in LSN
 // order.  Applied exactly once (sync.Once) — by the first of the
-// background drainer, an on-demand read, or the undo worker's
-// redo-before-undo gate.
+// background drainer, an on-demand read, or the undo sweep's
+// redo-before-undo hook.
 type objectChain struct {
 	obj  wal.ObjectID
 	recs []*wal.Record
@@ -72,34 +71,42 @@ type objectChain struct {
 // undoGate blocks reads of an object covered by loser scopes until the
 // backward sweep has passed below minFirst — the lowest First of the
 // scopes covering the object, below which no loser record can touch it.
-// Released (closed) by the undo worker.
+// Released (closed) by the undo sweep.
 type undoGate struct {
 	minFirst wal.LSN
 	ch       chan struct{}
 }
 
-// recoveryPipeline is one in-flight parallel recovery (or promotion).
-// All maps and slices are immutable after setup; mutable state is the
-// per-chain once, the applyMu-guarded page state, and the undo worker's
-// locals.
+// recoveryPipeline is one recovery, promotion or follower catch-up.  Once
+// the pipeline is installed its mutable state is the per-chain once, the
+// applyMu-guarded page state, and what only the undo sweep touches:
+// gateSeq, compensated and failpoint.
 type recoveryPipeline struct {
 	e         *Engine
 	promotion bool
+	// parallel is the schedule (Options.ParallelRecovery): return after
+	// analysis and overlap redo with undo, instead of running to
+	// completion with redo drained first.
+	parallel bool
 
-	// Built during setup, immutable afterwards.
+	// Built during setup.
 	chains      map[wal.ObjectID]*objectChain
 	heat        []*objectChain // chains by descending length; drain order
 	gates       map[wal.ObjectID]*undoGate
-	gateSeq     []*undoGate // gates by descending minFirst; release order
+	gateSeq     []*undoGate // gates by descending minFirst; consumed by releaseGates
 	losers      []wal.TxID
 	scopes      []delegation.Scope
 	compensated map[wal.LSN]bool
 	segments    int
 	hold        <-chan struct{}
-	savedFrs    *replayState // promotion only: restored on failure
-	book        recoveryBook
-	scanDur     time.Duration
-	analysisDur time.Duration
+
+	// Trace bookkeeping: the per-run trace is computed at finish as
+	// deltas of the cumulative stats captured here.
+	start          time.Time
+	statsBefore    Stats
+	clustersBefore uint64
+	scanDur        time.Duration
+	analysisDur    time.Duration
 
 	// applyMu serializes every page application of the pipeline: chain
 	// redo, undo CLR writes, and recovering reads.  pageBase holds each
@@ -111,7 +118,7 @@ type recoveryPipeline struct {
 	stats    Stats
 
 	// failpoint is the captured one-shot recovery failpoint; decremented
-	// only by the undo worker.
+	// only by the undo sweep.
 	failpoint int
 
 	onDemand atomic.Uint64
@@ -122,11 +129,28 @@ type recoveryPipeline struct {
 	done chan struct{}
 }
 
-// WaitRecovered blocks until any in-flight parallel recovery (or
-// promotion) pipeline completes and returns its error.  With no pipeline
-// in flight it returns nil immediately — or ErrCrashed if the engine is
-// crashed, which is what a failed pipeline leaves behind for callers that
-// arrive after the fact.
+// newPipelineLocked starts the bookkeeping of one pipeline run over the
+// given forward-pass compensated set.  Caller holds e.mu.
+func (e *Engine) newPipelineLocked(compensated map[wal.LSN]bool) *recoveryPipeline {
+	return &recoveryPipeline{
+		e:              e,
+		parallel:       e.opts.ParallelRecovery,
+		chains:         map[wal.ObjectID]*objectChain{},
+		compensated:    compensated,
+		start:          time.Now(),
+		statsBefore:    e.stats,
+		clustersBefore: e.met.undoClusters.Load(),
+		pageBase:       make(map[storage.PageID]wal.LSN),
+		done:           make(chan struct{}),
+	}
+}
+
+// WaitRecovered blocks until any in-flight recovery (or promotion)
+// pipeline completes and returns its error.  With no pipeline in flight
+// it returns nil immediately — or ErrCrashed if the engine is crashed,
+// which is what a failed pipeline leaves behind for callers that arrive
+// after the fact.  Only the parallel schedule returns from Recover or
+// Promote with a pipeline still in flight.
 func (e *Engine) WaitRecovered() error {
 	e.mu.Lock()
 	p := e.recovering
@@ -142,44 +166,18 @@ func (e *Engine) WaitRecovered() error {
 	return p.err
 }
 
-// recoverParallel is Recover with Options.ParallelRecovery set: it runs
-// the scan and analysis stages synchronously under the engine latch,
-// installs the pipeline, and returns with recovery still in flight.  The
-// engine then reports StateRecovering; reads route through the pipeline,
-// writes are rejected with ErrRecovering until it completes.
-func (e *Engine) recoverParallel() error {
-	e.mu.Lock()
-	if e.follower {
-		e.mu.Unlock()
-		return fmt.Errorf("core: a follower does not Recover; reopen it in follower mode or Promote it")
-	}
-	if !e.crashed {
-		e.mu.Unlock()
-		return fmt.Errorf("core: Recover called without a crash")
-	}
-	// Clean slate, exactly as sequential Recover: a previous attempt may
-	// have died midway.
-	e.txns.Reset(1)
-	e.state = delegation.State{}
-	e.prepared = make(map[wal.TxID]preparedInfo)
-	e.globals = make(map[uint64]globalDecision)
-
-	e.met.recRuns.Inc()
-	book := recoveryBook{
-		totalStart:     time.Now(),
-		statsBefore:    e.stats,
-		clustersBefore: e.met.undoClusters.Load(),
-	}
-
+// scanLocked runs the scan and analysis stages: per-object redo chains
+// from a parallel scan of the log segments from the last checkpoint,
+// then analysis of every scanned record, in LSN order, into the volatile
+// tables.  Redo is left to the chains.  Caller holds e.mu.
+func (p *recoveryPipeline) scanLocked() error {
+	e := p.e
 	scanStart, analysisAfter, err := e.locateCheckpointLocked()
 	if err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	e.log.ResetReadCursor()
 
-	// ---- Stage 1: manifest-driven parallel scan, one worker per sealed
-	// segment, grouping redoable records into per-object chains. ----
 	scanT := time.Now()
 	shards := e.log.RecordShards(scanStart)
 	indexes := make([]map[wal.ObjectID][]*wal.Record, len(shards))
@@ -200,8 +198,7 @@ func (e *Engine) recoverParallel() error {
 				}
 				m := make(map[wal.ObjectID][]*wal.Record)
 				for _, rec := range shards[i] {
-					switch rec.Type {
-					case wal.TypeUpdate, wal.TypeIncrement, wal.TypeCLR:
+					if redoable(rec) {
 						m[rec.Object] = append(m[rec.Object], rec)
 					}
 				}
@@ -212,140 +209,79 @@ func (e *Engine) recoverParallel() error {
 	wg.Wait()
 	// Merge in shard order: shards are LSN-ordered between themselves and
 	// within, so each chain comes out in LSN order.
-	chains := make(map[wal.ObjectID]*objectChain)
 	for _, m := range indexes {
 		for obj, recs := range m {
-			c := chains[obj]
+			c := p.chains[obj]
 			if c == nil {
 				c = &objectChain{obj: obj}
-				chains[obj] = c
+				p.chains[obj] = c
 			}
 			c.recs = append(c.recs, recs...)
 		}
 	}
-	scanDur := time.Since(scanT)
+	p.segments = len(shards)
+	p.scanDur = time.Since(scanT)
 
-	// ---- Stage 2 setup: analysis, strictly in LSN order (delegate
-	// records rewrite the scopes earlier records built), then winner /
-	// loser classification.  Redo is deferred to the chains. ----
 	analysisT := time.Now()
-	rs := newReplayState()
 	for _, shard := range shards {
 		for _, rec := range shard {
 			e.stats.RecForwardRecords++
-			if err := e.analyzeRecordLocked(rec, rec.LSN > analysisAfter, rs); err != nil {
-				e.mu.Unlock()
+			if err := e.analyzeRecordLocked(rec, rec.LSN > analysisAfter, p.compensated); err != nil {
 				return err
 			}
 		}
 	}
-	losers, scopes, err := e.classifyLocked()
-	if err != nil {
-		e.mu.Unlock()
-		return err
+	p.heat = make([]*objectChain, 0, len(p.chains))
+	for _, c := range p.chains {
+		p.heat = append(p.heat, c)
 	}
-	analysisDur := time.Since(analysisT)
-
-	heat := make([]*objectChain, 0, len(chains))
-	for _, c := range chains {
-		heat = append(heat, c)
-	}
-	sort.Slice(heat, func(i, j int) bool {
-		if len(heat[i].recs) != len(heat[j].recs) {
-			return len(heat[i].recs) > len(heat[j].recs)
+	sort.Slice(p.heat, func(i, j int) bool {
+		if len(p.heat[i].recs) != len(p.heat[j].recs) {
+			return len(p.heat[i].recs) > len(p.heat[j].recs)
 		}
-		return heat[i].obj < heat[j].obj
+		return p.heat[i].obj < p.heat[j].obj
 	})
-	gates, gateSeq := buildUndoGates(scopes)
-
-	book.forwardDur = scanDur + analysisDur
-	p := &recoveryPipeline{
-		e:           e,
-		chains:      chains,
-		heat:        heat,
-		gates:       gates,
-		gateSeq:     gateSeq,
-		losers:      losers,
-		scopes:      scopes,
-		compensated: rs.compensated,
-		segments:    len(shards),
-		hold:        e.recoveryHold,
-		book:        book,
-		scanDur:     scanDur,
-		analysisDur: analysisDur,
-		pageBase:    make(map[storage.PageID]wal.LSN),
-		failpoint:   e.recoveryFailpoint,
-		done:        make(chan struct{}),
-	}
-	e.recoveryFailpoint = 0
-	e.recoveryHold = nil
-	e.crashed = false
-	e.recovering = p
-	e.mu.Unlock()
-
-	go p.run()
+	p.analysisDur = time.Since(analysisT)
 	return nil
 }
 
-// promoteParallel is Promote with Options.ParallelRecovery set: the
-// follower's replay state is a completed forward pass, so the pipeline
-// is undo-only — no scan, no chains — but follower reads keep flowing
-// during the sweep, each gated on the undo of the loser clusters covering
-// its object.  Returns with promotion still in flight; on pipeline
-// failure the engine returns to follower mode and Promote may be retried.
-func (e *Engine) promoteParallel() error {
-	e.mu.Lock()
-	if !e.follower {
-		e.mu.Unlock()
-		return fmt.Errorf("core: Promote on a non-follower engine")
-	}
-	if e.crashed {
-		e.mu.Unlock()
-		return ErrCrashed
-	}
-	// As in sequential Promote: the replayed prefix must be durable
-	// before the backward pass piles CLRs on top of it.
-	if err := e.log.Flush(e.log.Head()); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	e.met.recRuns.Inc()
-	book := recoveryBook{
-		totalStart:     time.Now(),
-		statsBefore:    e.stats,
-		clustersBefore: e.met.undoClusters.Load(),
-	}
+// installLocked finishes setup — winner/loser classification, the undo
+// gates, the one-shot test hooks — and makes p the engine's live
+// recovery: from here on reads route through it and writes are rejected
+// with ErrRecovering.  Caller holds e.mu.
+func (p *recoveryPipeline) installLocked() error {
+	e := p.e
+	classifyT := time.Now()
 	losers, scopes, err := e.classifyLocked()
 	if err != nil {
-		e.mu.Unlock()
 		return err
 	}
-	gates, gateSeq := buildUndoGates(scopes)
-	p := &recoveryPipeline{
-		e:           e,
-		promotion:   true,
-		chains:      map[wal.ObjectID]*objectChain{},
-		gates:       gates,
-		gateSeq:     gateSeq,
-		losers:      losers,
-		scopes:      scopes,
-		compensated: e.frs.compensated,
-		hold:        e.recoveryHold,
-		book:        book,
-		pageBase:    make(map[storage.PageID]wal.LSN),
-		failpoint:   e.recoveryFailpoint,
-		savedFrs:    e.frs,
-		done:        make(chan struct{}),
-	}
-	e.recoveryFailpoint = 0
-	e.recoveryHold = nil
-	e.follower = false
-	e.frs = nil
+	p.analysisDur += time.Since(classifyT)
+	p.losers, p.scopes = losers, scopes
+	p.gates, p.gateSeq = buildUndoGates(scopes)
+	p.failpoint, p.hold = e.recoveryFailpoint, e.recoveryHold
+	e.recoveryFailpoint, e.recoveryHold = 0, nil
 	e.recovering = p
-	e.mu.Unlock()
-
-	go p.run()
 	return nil
+}
+
+// runPipeline sets up and installs a pipeline under the engine latch,
+// then runs it on its schedule: in the background with an immediate
+// return (parallel), or to completion on the calling goroutine,
+// returning its error.
+func (e *Engine) runPipeline(setupLocked func() (*recoveryPipeline, error)) error {
+	e.mu.Lock()
+	p, err := setupLocked()
+	e.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if p.parallel {
+		go p.run()
+		return nil
+	}
+	p.run()
+	return p.err
 }
 
 // buildUndoGates derives the per-object undo gates from the loser scopes:
@@ -370,28 +306,40 @@ func buildUndoGates(scopes []delegation.Scope) (map[wal.ObjectID]*undoGate, []*u
 	return gates, seq
 }
 
-// run drives the pipeline to completion: background redo drain and the
-// undo sweep concurrently, then loser termination, the final log force,
-// the trace, and the flip back to a writable state.
+// run drives the pipeline to completion — redo drain and undo sweep,
+// concurrently on the parallel schedule and one after the other
+// otherwise — then loser termination, the final log force, the trace,
+// and the flip back to a writable state.
 func (p *recoveryPipeline) run() {
 	e := p.e
 	var redoErr error
 	var redoDur time.Duration
+	redo := func() {
+		t := time.Now()
+		redoErr = p.drain()
+		redoDur = time.Since(t)
+	}
 	var wg sync.WaitGroup
-	if !p.promotion {
+	if p.parallel {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t := time.Now()
-			redoErr = p.runDrain()
-			redoDur = time.Since(t)
+			redo()
 		}()
+	} else if redo(); redoErr != nil {
+		p.fail(redoErr)
+		return
 	}
 	undoT := time.Now()
-	undoErr := p.runUndo()
+	err := e.undoScopes(p.scopes, undoSweep{
+		compensated: p.compensated,
+		fullScan:    e.opts.FullScanUndo,
+		stats:       &p.stats,
+		passed:      p.releaseGates,
+		undo:        p.undo,
+	})
 	undoDur := time.Since(undoT)
 	wg.Wait()
-	err := undoErr
 	if err == nil {
 		err = redoErr
 	}
@@ -400,15 +348,13 @@ func (p *recoveryPipeline) run() {
 		return
 	}
 
-	// ---- Finish: terminate losers, force the log, emit the trace. ----
 	finishT := time.Now()
 	e.mu.Lock()
-	if err := e.terminateLosers(p.losers); err != nil {
-		e.mu.Unlock()
-		p.fail(err)
-		return
+	err = e.terminateLosers(p.losers)
+	if err == nil {
+		err = e.log.Flush(e.log.Head())
 	}
-	if err := e.log.Flush(e.log.Head()); err != nil {
+	if err != nil {
 		e.mu.Unlock()
 		p.fail(err)
 		return
@@ -416,48 +362,49 @@ func (p *recoveryPipeline) run() {
 	finishDur := time.Since(finishT)
 
 	// Merge the pipeline-local counters into the engine stats, then
-	// compute the per-run trace as deltas — same bookkeeping as
-	// finishRecoveryLocked.
+	// record the per-run trace as deltas and feed the cumulative
+	// recovery metrics from it.
 	e.stats.RecRedone += p.stats.RecRedone
 	e.stats.RecBackwardVisited += p.stats.RecBackwardVisited
 	e.stats.RecBackwardSkipped += p.stats.RecBackwardSkipped
 	e.stats.CLRs += p.stats.CLRs
 	e.stats.RecCLRs += p.stats.CLRs
 	e.stats.RecUndone += p.stats.CLRs
-
-	book := p.book
-	delta := func(after, before uint64) uint64 { return after - before }
+	before := p.statsBefore
 	tr := RecoveryTrace{
-		ForwardDur:      book.forwardDur,
+		ForwardDur:      p.scanDur + p.analysisDur,
 		BackwardDur:     undoDur,
-		TotalDur:        time.Since(book.totalStart),
-		Parallel:        true,
+		TotalDur:        time.Since(p.start),
+		Parallel:        p.parallel,
 		Segments:        p.segments,
-		OnDemandReads:   p.onDemand.Load(),
-		ForwardRecords:  delta(e.stats.RecForwardRecords, book.statsBefore.RecForwardRecords),
-		Redone:          delta(e.stats.RecRedone, book.statsBefore.RecRedone),
-		BackwardVisited: delta(e.stats.RecBackwardVisited, book.statsBefore.RecBackwardVisited),
-		BackwardSkipped: delta(e.stats.RecBackwardSkipped, book.statsBefore.RecBackwardSkipped),
-		Clusters:        e.met.undoClusters.Load() - book.clustersBefore,
-		CLRs:            delta(e.stats.RecCLRs, book.statsBefore.RecCLRs),
-		Losers:          delta(e.stats.RecLosers, book.statsBefore.RecLosers),
-		Winners:         delta(e.stats.RecWinners, book.statsBefore.RecWinners),
+		ForwardRecords:  e.stats.RecForwardRecords - before.RecForwardRecords,
+		Redone:          e.stats.RecRedone - before.RecRedone,
+		BackwardVisited: e.stats.RecBackwardVisited - before.RecBackwardVisited,
+		BackwardSkipped: e.stats.RecBackwardSkipped - before.RecBackwardSkipped,
+		Clusters:        e.met.undoClusters.Load() - p.clustersBefore,
+		CLRs:            e.stats.RecCLRs - before.RecCLRs,
+		Losers:          e.stats.RecLosers - before.RecLosers,
+		Winners:         e.stats.RecWinners - before.RecWinners,
 	}
-	if p.promotion {
-		tr.Stages = []RecoveryStage{
-			{Name: "undo", Dur: undoDur, Units: tr.BackwardVisited},
-			{Name: "finish", Dur: finishDur, Units: uint64(len(p.losers))},
-		}
-	} else {
-		tr.Stages = []RecoveryStage{
-			{Name: "scan", Dur: p.scanDur, Units: tr.ForwardRecords},
-			{Name: "analysis", Dur: p.analysisDur, Units: tr.ForwardRecords},
-			{Name: "redo", Dur: redoDur, Units: tr.Redone},
-			{Name: "undo", Dur: undoDur, Units: tr.BackwardVisited},
-			{Name: "finish", Dur: finishDur, Units: uint64(len(p.losers))},
-		}
+	tr.Stages = []RecoveryStage{
+		{Name: "scan", Dur: p.scanDur, Units: tr.ForwardRecords},
+		{Name: "analysis", Dur: p.analysisDur, Units: tr.ForwardRecords},
+		{Name: "redo", Dur: redoDur, Units: tr.Redone},
+		{Name: "undo", Dur: undoDur, Units: tr.BackwardVisited},
+		{Name: "finish", Dur: finishDur, Units: uint64(len(p.losers))},
 	}
-	e.emitRecoveryTraceLocked(tr)
+	e.lastTrace = tr
+	e.met.recForwardRecords.Add(tr.ForwardRecords)
+	e.met.recRedone.Add(tr.Redone)
+	e.met.recCLRs.Add(tr.CLRs)
+	e.met.recLosers.Add(tr.Losers)
+	e.met.recWinners.Add(tr.Winners)
+	e.met.recForwardNs.Observe(tr.ForwardDur)
+	e.met.recBackwardNs.Observe(tr.BackwardDur)
+	e.met.recTotalNs.Observe(tr.TotalDur)
+	if e.reg.HasEventHook() {
+		e.reg.Emit(obs.Event{Name: "recovery.complete", Value: int64(tr.CLRs), Dur: tr.TotalDur})
+	}
 	e.mu.Unlock()
 
 	// One-shot test hook: everything is recovered — reads are fully
@@ -466,6 +413,9 @@ func (p *recoveryPipeline) run() {
 		<-p.hold
 	}
 	e.mu.Lock()
+	// Reads are routed through the pipeline until this flip, the hold
+	// included.
+	e.lastTrace.OnDemandReads = p.onDemand.Load()
 	e.recovering = nil
 	e.mu.Unlock()
 	close(p.done)
@@ -480,7 +430,7 @@ func (p *recoveryPipeline) fail(err error) {
 	e.mu.Lock()
 	if p.promotion {
 		e.follower = true
-		e.frs = p.savedFrs
+		e.compensated = p.compensated
 	} else {
 		e.crashed = true
 	}
@@ -489,10 +439,10 @@ func (p *recoveryPipeline) fail(err error) {
 	close(p.done)
 }
 
-// runDrain applies every chain in descending heat order.  On-demand
-// reads jump this queue: their applyChain wins the chain's once and the
+// drain applies every chain in descending heat order.  On-demand reads
+// jump this queue: their applyChain wins the chain's once and the
 // drainer's call becomes a no-op.
-func (p *recoveryPipeline) runDrain() error {
+func (p *recoveryPipeline) drain() error {
 	for _, c := range p.heat {
 		if err := p.applyChain(c); err != nil {
 			return err
@@ -504,17 +454,16 @@ func (p *recoveryPipeline) runDrain() error {
 // applyChain redoes c exactly once; concurrent callers block until the
 // first finishes and share its error.
 func (p *recoveryPipeline) applyChain(c *objectChain) error {
-	c.once.Do(func() { c.err = p.applyChainBody(c) })
+	c.once.Do(func() { c.err = p.redoChain(c) })
 	return c.err
 }
 
-// applyChainBody applies c's records in LSN order under applyMu.  The
-// baseline is the object's page pre-recovery pageLSN (pageBase), NilLSN
-// for objects absent from stable storage — per-page, not per-object,
-// because a page flushed at pageLSN pl covers the ≤ pl updates of every
-// object on it.
-func (p *recoveryPipeline) applyChainBody(c *objectChain) error {
-	e := p.e
+// redoChain applies c's records in LSN order under applyMu.  The baseline
+// is the object's page pre-recovery pageLSN (pageBase), NilLSN for
+// objects absent from stable storage — per-page, not per-object, because
+// a page flushed at pageLSN pl covers the ≤ pl updates of every object on
+// it.
+func (p *recoveryPipeline) redoChain(c *objectChain) error {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
 	base, err := p.baselineLocked(c.obj)
@@ -528,19 +477,7 @@ func (p *recoveryPipeline) applyChainBody(c *objectChain) error {
 		if err := p.ensurePageLocked(c.obj); err != nil {
 			return err
 		}
-		switch rec.Type {
-		case wal.TypeUpdate:
-			err = e.store.Write(c.obj, rec.After, rec.LSN)
-		case wal.TypeIncrement:
-			err = e.applyDelta(c.obj, rec.Delta, rec.LSN)
-		case wal.TypeCLR:
-			if rec.Logical {
-				err = e.applyDelta(c.obj, rec.Delta, rec.LSN)
-			} else {
-				err = e.store.Write(c.obj, rec.Before, rec.LSN)
-			}
-		}
-		if err != nil {
+		if err := p.e.redoRecord(rec); err != nil {
 			return err
 		}
 		p.stats.RecRedone++
@@ -589,83 +526,44 @@ func (p *recoveryPipeline) ensurePageLocked(obj wal.ObjectID) error {
 	return nil
 }
 
-// runUndo is the pipeline's backward pass: the same cluster sweep as
-// undoScopes, in strictly decreasing LSN order, with two pipeline twists —
-// each record's object is redone first (redo-before-undo gate), and the
-// per-object read gates are released as the sweep passes below their
-// minFirst.
-func (p *recoveryPipeline) runUndo() error {
-	e := p.e
-	planner := delegation.NewPlanner(p.scopes)
-	hooked := e.reg.HasEventHook()
-	released := 0
-	release := func(k wal.LSN) {
-		for released < len(p.gateSeq) && p.gateSeq[released].minFirst > k {
-			close(p.gateSeq[released].ch)
-			released++
-		}
+// releaseGates is the undo sweep's progress hook: the sweep has reached
+// k, so every position above it is settled and any gate whose records all
+// lie above k opens.  Gates at exactly k stay shut until the record at k
+// is undone; NilLSN (the end of the sweep) opens the rest.
+func (p *recoveryPipeline) releaseGates(k wal.LSN) {
+	for len(p.gateSeq) > 0 && p.gateSeq[0].minFirst > k {
+		close(p.gateSeq[0].ch)
+		p.gateSeq = p.gateSeq[1:]
 	}
-	for {
-		k, ok := planner.Next()
-		if !ok {
-			break
-		}
-		// Every position > k is settled; any gate whose records all lie
-		// above k opens now.  Gates at exactly k stay shut until the
-		// record at k is undone.
-		release(k)
-		p.stats.RecBackwardVisited++
-		e.met.undoVisited.Inc()
-		if hooked {
-			e.reg.Emit(obs.Event{Name: "undo.visit", LSN: uint64(k)})
-		}
-		rec, err := e.log.Get(k)
-		if err != nil {
-			return fmt.Errorf("core: undo sweep at %d: %w", k, err)
-		}
-		if !rec.IsUndoable() {
-			continue
-		}
-		owner, hit := planner.ShouldUndo(rec.TxID, rec.Object, k)
-		if !hit || p.compensated[k] {
-			continue
-		}
-		// Redo-before-undo: the CLR must land on a fully redone object —
-		// a logical counter CLR applied to a stale value would compute
-		// the wrong result, and any CLR write would poison the object's
-		// redo baseline.  Promotion has no chains (the follower already
-		// applied everything).
-		if c := p.chains[rec.Object]; c != nil {
-			if err := p.applyChain(c); err != nil {
-				return err
-			}
-		}
-		p.applyMu.Lock()
-		if err := p.ensurePageLocked(rec.Object); err == nil {
-			if rec.Type == wal.TypeIncrement {
-				err = e.undoIncrementInto(owner, rec, &p.stats)
-			} else {
-				err = e.undoUpdateInto(owner, rec, &p.stats)
-			}
-			p.applyMu.Unlock()
-			if err != nil {
-				return err
-			}
-		} else {
-			p.applyMu.Unlock()
+}
+
+// undo is the undo sweep's compensation hook: redo the record's object
+// first (redo-before-undo — a no-op once the drain has passed it), then
+// write the CLR under applyMu with the page's baseline captured, then
+// count the failpoint.  The compensated set learns each CLR, so a retried
+// promotion does not undo the record twice.
+func (p *recoveryPipeline) undo(owner wal.TxID, rec *wal.Record) error {
+	if c := p.chains[rec.Object]; c != nil {
+		if err := p.applyChain(c); err != nil {
 			return err
 		}
-		if p.failpoint > 0 {
-			p.failpoint--
-			if p.failpoint == 0 {
-				return ErrInjectedRecoveryFailure
-			}
+	}
+	p.applyMu.Lock()
+	err := p.ensurePageLocked(rec.Object)
+	if err == nil {
+		err = p.e.undoRecord(owner, rec, &p.stats)
+	}
+	p.applyMu.Unlock()
+	if err != nil {
+		return err
+	}
+	p.compensated[rec.LSN] = true
+	if p.failpoint > 0 {
+		p.failpoint--
+		if p.failpoint == 0 {
+			return ErrInjectedRecoveryFailure
 		}
 	}
-	p.stats.RecBackwardSkipped += planner.Skipped
-	e.met.undoSkipped.Add(planner.Skipped)
-	e.met.undoClusters.Add(planner.Clusters)
-	release(wal.NilLSN)
 	return nil
 }
 

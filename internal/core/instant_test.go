@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"ariesrh/internal/storage"
 	"ariesrh/internal/wal"
@@ -140,54 +141,63 @@ func TestParallelRecoveryMatchesSequential(t *testing.T) {
 // served but every mutating operation returns ErrRecovering — writes
 // never interleave with redo or the backward pass.  SetRecoveryHold
 // parks the pipeline after all recovery work, giving a deterministic
-// recovering window.
+// recovering window.  The contract is the same on both schedules; only
+// when Recover returns differs (the sequential one waits for the hold).
 func TestParallelRecoveryWritesRejected(t *testing.T) {
-	e, err := New(Options{PoolSize: 16, GroupCommit: GroupCommitOff, ParallelRecovery: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := mustBegin(t, e)
-	mustUpdate(t, e, tx, 1, "durable")
-	mustCommit(t, e, tx)
-	loser := mustBegin(t, e)
-	mustUpdate(t, e, loser, 2, "doomed")
-	mustDo(t, e.Log().Flush(e.Log().Head()))
+	forEachSchedule(t, func(t *testing.T, parallel bool) {
+		e, err := New(Options{PoolSize: 16, GroupCommit: GroupCommitOff, ParallelRecovery: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := mustBegin(t, e)
+		mustUpdate(t, e, tx, 1, "durable")
+		mustCommit(t, e, tx)
+		loser := mustBegin(t, e)
+		mustUpdate(t, e, loser, 2, "doomed")
+		mustDo(t, e.Log().Flush(e.Log().Head()))
 
-	hold := make(chan struct{})
-	e.SetRecoveryHold(hold)
-	mustDo(t, e.Crash())
-	mustDo(t, e.Recover())
+		hold := make(chan struct{})
+		e.SetRecoveryHold(hold)
+		mustDo(t, e.Crash())
+		recovered := make(chan error, 1)
+		go func() { recovered <- e.Recover() }()
+		deadline := time.Now().Add(10 * time.Second)
+		for e.Health().State != StateRecovering {
+			if time.Now().After(deadline) {
+				t.Fatalf("health = %v, never reached recovering", e.Health().State)
+			}
+			time.Sleep(time.Millisecond)
+		}
 
-	if h := e.Health(); h.State != StateRecovering {
-		t.Fatalf("health during pipeline = %v, want recovering", h.State)
-	}
-	if _, err := e.Begin(); !errors.Is(err, ErrRecovering) {
-		t.Fatalf("Begin during recovery: err = %v, want ErrRecovering", err)
-	}
-	if err := e.Checkpoint(); !errors.Is(err, ErrRecovering) {
-		t.Fatalf("Checkpoint during recovery: err = %v, want ErrRecovering", err)
-	}
-	// Reads flow: the committed value is visible, the loser rolled back.
-	wantValue(t, e, 1, "durable")
-	wantValue(t, e, 2, "")
+		if _, err := e.Begin(); !errors.Is(err, ErrRecovering) {
+			t.Fatalf("Begin during recovery: err = %v, want ErrRecovering", err)
+		}
+		if err := e.Checkpoint(); !errors.Is(err, ErrRecovering) {
+			t.Fatalf("Checkpoint during recovery: err = %v, want ErrRecovering", err)
+		}
+		// Reads flow: the committed value is visible, the loser rolled back.
+		wantValue(t, e, 1, "durable")
+		wantValue(t, e, 2, "")
 
-	close(hold)
-	mustDo(t, e.WaitRecovered())
-	if h := e.Health(); h.State != StateHealthy {
-		t.Fatalf("health after pipeline = %v, want healthy", h.State)
-	}
-	tx2 := mustBegin(t, e)
-	mustUpdate(t, e, tx2, 2, "fresh")
-	mustCommit(t, e, tx2)
-	wantValue(t, e, 2, "fresh")
+		close(hold)
+		mustDo(t, <-recovered)
+		mustDo(t, e.WaitRecovered())
+		if h := e.Health(); h.State != StateHealthy {
+			t.Fatalf("health after pipeline = %v, want healthy", h.State)
+		}
+		tx2 := mustBegin(t, e)
+		mustUpdate(t, e, tx2, 2, "fresh")
+		mustCommit(t, e, tx2)
+		wantValue(t, e, 2, "fresh")
 
-	tr := e.LastRecoveryTrace()
-	if tr.OnDemandReads < 2 {
-		t.Fatalf("OnDemandReads = %d, want >= 2", tr.OnDemandReads)
-	}
-	if len(tr.Stages) != 5 {
-		t.Fatalf("stages = %v, want scan/analysis/redo/undo/finish", tr.Stages)
-	}
+		tr := e.LastRecoveryTrace()
+		if tr.OnDemandReads < 2 {
+			t.Fatalf("OnDemandReads = %d, want >= 2", tr.OnDemandReads)
+		}
+		if len(tr.Stages) != 5 {
+			t.Fatalf("stages = %v, want scan/analysis/redo/undo/finish", tr.Stages)
+		}
+	})
 }
 
 // TestParallelRecoveryFailpoint: an injected backward-pass failure lands

@@ -112,9 +112,10 @@ func bindEngineMetrics(r *obs.Registry) engineMetrics {
 
 // RecoveryStage is one stage of a recovery run: its name, wall-clock
 // duration, and how many units (records, chains, positions — per the
-// stage) it processed.  Sequential recovery reports two stages (forward,
-// backward); the parallel pipeline reports scan, analysis, redo, undo
-// and finish — redo and undo overlap in wall time, which is the point.
+// stage) it processed.  Every run reports scan, analysis, redo, undo and
+// finish; on the parallel schedule redo and undo overlap in wall time,
+// which is the point.  Promotion's scan, analysis and redo are empty:
+// the follower already ran its forward pass.
 type RecoveryStage struct {
 	Name  string
 	Dur   time.Duration
@@ -126,22 +127,22 @@ type RecoveryStage struct {
 // cumulative registry counters), which is what the claim tests and the
 // rhrecover tool want.
 type RecoveryTrace struct {
-	// Phase durations.  For the parallel pipeline ForwardDur covers scan
-	// + analysis (the work done before reads become available) and
+	// Phase durations.  ForwardDur covers scan + analysis (the work done
+	// before the parallel schedule makes reads available) and
 	// BackwardDur the undo sweep; the Stages list has the full split.
 	ForwardDur  time.Duration
 	BackwardDur time.Duration
 	TotalDur    time.Duration
 
 	// Stages is the per-stage breakdown in execution order.  Stage
-	// durations may overlap (parallel redo and undo run concurrently),
-	// so they need not sum to TotalDur.
+	// durations may overlap (on the parallel schedule redo and undo run
+	// concurrently), so they need not sum to TotalDur.
 	Stages []RecoveryStage
 
-	// Parallel reports whether the instant-restart pipeline ran this
-	// recovery; Segments is the number of log shards its scan fanned out
-	// over, and OnDemandReads counts reads served mid-recovery (each
-	// triggering redo of just its object's chain).
+	// Parallel reports whether this recovery ran on the parallel
+	// (instant-restart) schedule; Segments is the number of log shards
+	// its scan fanned out over, and OnDemandReads counts reads served
+	// mid-recovery (each triggering redo of just its object's chain).
 	Parallel      bool
 	Segments      int
 	OnDemandReads uint64

@@ -82,6 +82,7 @@ func (e *Engine) Read(tx wal.TxID, obj wal.ObjectID) ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.crashed {
+		e.activeAfterLockLocked(tx) // see Update
 		return nil, ErrCrashed
 	}
 	if _, err := e.activeAfterLockLocked(tx); err != nil {
@@ -129,8 +130,11 @@ func (e *Engine) Update(tx wal.TxID, obj wal.ObjectID, val []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.writableLocked(); err != nil {
-		// The tx keeps its lock grant: it is still alive and must be
-		// able to abort (which releases everything).
+		// A live tx keeps its lock grant: it must be able to abort,
+		// which releases everything.  A tx terminated during the wait
+		// (a cascaded abort, an ELR rollback) never will — drop its
+		// stale grant, or waiters on obj block forever.
+		e.activeAfterLockLocked(tx)
 		return err
 	}
 	info, err := e.activeAfterLockLocked(tx)
@@ -534,7 +538,7 @@ func (e *Engine) abortLocked(tx wal.TxID) error {
 	}
 	// ABORT OPERATIONS: undo everything covered by tx's scopes, sweeping
 	// backwards from the largest covered LSN to minLSN (§3.5).
-	if err := e.undoScopes(e.state[tx].OwnedScopes(tx), nil); err != nil {
+	if err := e.undoScopes(e.state[tx].OwnedScopes(tx), undoSweep{}); err != nil {
 		return err
 	}
 	// WRITE ABORT RECORD.  In group-commit mode the force is deferred to
@@ -574,20 +578,51 @@ func (e *Engine) abortLocked(tx wal.TxID) error {
 	return e.cascadeAbortsLocked(tx)
 }
 
-// undoScopes sweeps the given scopes with the cluster planner, undoing
-// every covered update and writing CLRs.  compensated (may be nil) lists
-// update LSNs already undone by earlier CLRs; they are skipped.  Used both
-// by normal-processing aborts (scopes of one transaction) and by the
-// recovery backward pass (all loser scopes).
-func (e *Engine) undoScopes(scopes []delegation.Scope, compensated map[wal.LSN]bool) error {
+// undoSweep configures one run of undoScopes.  The zero value is the
+// normal-processing sweep — abort, savepoint rollback, the ELR cascade:
+// cluster order, counters into e.stats, each CLR written directly.  Only
+// the recovery pipeline sets the rest.
+type undoSweep struct {
+	// compensated lists update LSNs already undone by a CLR the forward
+	// pass saw; the sweep skips them.
+	compensated map[wal.LSN]bool
+	// fullScan swaps the cluster planner for the A1 ablation's full
+	// backward scan (Options.FullScanUndo).
+	fullScan bool
+	// stats receives the sweep's counters; nil means e.stats.
+	stats *Stats
+	// passed is told each position as the sweep reaches it, and NilLSN
+	// when it ends: every position above it is settled.
+	passed func(k wal.LSN)
+	// undo replaces the direct CLR write (undoRecord).
+	undo func(owner wal.TxID, rec *wal.Record) error
+}
+
+// undoScopes is the backward sweep of ARIES/RH (§3.5 abort, §3.6.2
+// recovery): it visits the given scopes in strictly decreasing LSN order,
+// each position at most once, and undoes every covered update by writing
+// a CLR on behalf of its responsible transaction.  Abort sweeps one
+// transaction's scopes, recovery and promotion sweep all loser scopes.
+func (e *Engine) undoScopes(scopes []delegation.Scope, sw undoSweep) error {
+	st := sw.stats
+	if st == nil {
+		st = &e.stats
+	}
 	planner := delegation.NewPlanner(scopes)
+	var order undoOrder = planner
+	if sw.fullScan {
+		order = newFullScanOrder(scopes)
+	}
 	hooked := e.reg.HasEventHook()
 	for {
-		k, ok := planner.Next()
+		k, ok := order.Next()
 		if !ok {
 			break
 		}
-		e.stats.RecBackwardVisited++
+		if sw.passed != nil {
+			sw.passed(k)
+		}
+		st.RecBackwardVisited++
 		e.met.undoVisited.Inc()
 		if hooked {
 			e.reg.Emit(obs.Event{Name: "undo.visit", LSN: uint64(k)})
@@ -599,52 +634,34 @@ func (e *Engine) undoScopes(scopes []delegation.Scope, compensated map[wal.LSN]b
 		if !rec.IsUndoable() {
 			continue
 		}
-		owner, hit := planner.ShouldUndo(rec.TxID, rec.Object, k)
-		if !hit || compensated[k] {
+		owner, hit := order.ShouldUndo(rec.TxID, rec.Object, k)
+		if !hit || sw.compensated[k] {
 			continue
 		}
-		if rec.Type == wal.TypeIncrement {
-			if err := e.undoIncrement(owner, rec); err != nil {
-				return err
-			}
-		} else if err := e.undoUpdate(owner, rec); err != nil {
-			return err
+		if sw.undo != nil {
+			err = sw.undo(owner, rec)
+		} else {
+			err = e.undoRecord(owner, rec, st)
 		}
-		if err := e.fireRecoveryFailpoint(); err != nil {
+		if err != nil {
 			return err
 		}
 	}
-	e.stats.RecBackwardSkipped += planner.Skipped
+	// Both stay zero under the full scan, which never runs the planner.
+	st.RecBackwardSkipped += planner.Skipped
 	e.met.undoSkipped.Add(planner.Skipped)
 	e.met.undoClusters.Add(planner.Clusters)
-	return nil
-}
-
-// fireRecoveryFailpoint decrements an armed failpoint and reports the
-// injected failure when it reaches zero.  Disarmed (or non-recovery)
-// contexts are a no-op: the failpoint only counts while Recover holds the
-// engine in the crashed state.
-func (e *Engine) fireRecoveryFailpoint() error {
-	if !e.crashed || e.recoveryFailpoint <= 0 {
-		return nil
-	}
-	e.recoveryFailpoint--
-	if e.recoveryFailpoint == 0 {
-		return ErrInjectedRecoveryFailure
+	if sw.passed != nil {
+		sw.passed(wal.NilLSN)
 	}
 	return nil
 }
 
-// undoUpdate restores rec's before-image and logs a CLR on behalf of the
-// responsible transaction owner.
-func (e *Engine) undoUpdate(owner wal.TxID, rec *wal.Record) error {
-	return e.undoUpdateInto(owner, rec, &e.stats)
-}
-
-// undoUpdateInto is undoUpdate with an explicit stats sink: the parallel
-// recovery pipeline counts into pipeline-local stats (merged under the
-// engine latch at finish) because its undo worker runs without the latch.
-func (e *Engine) undoUpdateInto(owner wal.TxID, rec *wal.Record, st *Stats) error {
+// undoRecord compensates rec on behalf of the responsible transaction
+// owner: it logs a CLR — restoring the before-image of an update, or
+// carrying the negated delta of an increment (logical undo, see
+// counter.go) — and applies it.
+func (e *Engine) undoRecord(owner wal.TxID, rec *wal.Record, st *Stats) error {
 	info := e.txns.Get(owner)
 	prev := wal.NilLSN
 	if info != nil {
@@ -655,15 +672,19 @@ func (e *Engine) undoUpdateInto(owner wal.TxID, rec *wal.Record, st *Stats) erro
 		TxID:        owner,
 		PrevLSN:     prev,
 		Object:      rec.Object,
-		Before:      rec.Before,
 		UndoNextLSN: rec.PrevLSN,
 		Compensates: rec.LSN,
+	}
+	if rec.Type == wal.TypeIncrement {
+		clr.Logical, clr.Delta = true, -rec.Delta
+	} else {
+		clr.Before = rec.Before
 	}
 	lsn, err := e.log.Append(clr)
 	if err != nil {
 		return err
 	}
-	if err := e.store.Write(rec.Object, rec.Before, lsn); err != nil {
+	if err := e.redoRecord(clr); err != nil {
 		return err
 	}
 	if info != nil {

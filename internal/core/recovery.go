@@ -3,51 +3,16 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"ariesrh/internal/delegation"
-	"ariesrh/internal/obs"
 	"ariesrh/internal/txn"
 	"ariesrh/internal/wal"
 )
 
-// ErrInjectedRecoveryFailure is returned by Recover when an armed
-// failpoint fires (see SetRecoveryFailpoint).
+// ErrInjectedRecoveryFailure is returned by Recover or Promote (or by
+// WaitRecovered, on the parallel schedule) when an armed failpoint fires
+// (see SetRecoveryFailpoint).
 var ErrInjectedRecoveryFailure = errors.New("core: injected recovery failure")
-
-// replayState is the working state of recovery's forward pass (analysis +
-// redo).  Recover builds one for the duration of the scan; a follower
-// engine keeps one alive for its whole lifetime, because a follower IS a
-// forward pass that never finishes — until Promote runs the backward pass
-// over it.
-type replayState struct {
-	// applied tracks, per object, the LSN through which the stable page
-	// image already reflects the object's updates (discovered lazily from
-	// the pageLSN of the page holding it); redo applies only younger
-	// records, making redo idempotent across repeated crashes.
-	applied map[wal.ObjectID]wal.LSN
-	// compensated lists the update LSNs already undone by a CLR seen in
-	// the forward direction; the backward pass skips them.
-	compensated map[wal.LSN]bool
-}
-
-func newReplayState() *replayState {
-	return &replayState{
-		applied:     make(map[wal.ObjectID]wal.LSN),
-		compensated: make(map[wal.LSN]bool),
-	}
-}
-
-// recoveryBook carries the trace bookkeeping captured at the start of a
-// Recover (or Promote) into finishRecoveryLocked, which computes the
-// per-run trace as deltas of the cumulative stats (safe — the latch is
-// held throughout).
-type recoveryBook struct {
-	statsBefore    Stats
-	clustersBefore uint64
-	totalStart     time.Time
-	forwardDur     time.Duration
-}
 
 // Recover restores the engine after a Crash, following §3.6:
 //
@@ -67,17 +32,23 @@ type recoveryBook struct {
 //
 // The log is never modified in place: history is rewritten by
 // interpretation, not mutation.
+//
+// Recover runs the recovery pipeline (instant.go) on the schedule
+// Options.ParallelRecovery selects: to completion before returning, or —
+// with the flag set — returning after analysis with redo and undo still
+// in flight (see WaitRecovered).
 func (e *Engine) Recover() error {
-	if e.opts.ParallelRecovery {
-		return e.recoverParallel()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	return e.runPipeline(e.setupRecoveryLocked)
+}
+
+// setupRecoveryLocked runs Recover's scan and analysis stages from a
+// clean slate and installs the pipeline.  Caller holds e.mu.
+func (e *Engine) setupRecoveryLocked() (*recoveryPipeline, error) {
 	if e.follower {
-		return fmt.Errorf("core: a follower does not Recover; reopen it in follower mode or Promote it")
+		return nil, fmt.Errorf("core: a follower does not Recover; reopen it in follower mode or Promote it")
 	}
 	if !e.crashed {
-		return fmt.Errorf("core: Recover called without a crash")
+		return nil, fmt.Errorf("core: Recover called without a crash")
 	}
 	// Start from a clean slate even if a previous Recover attempt died
 	// midway (e.g. an injected failure): replaying analysis onto
@@ -88,34 +59,15 @@ func (e *Engine) Recover() error {
 	e.globals = make(map[uint64]globalDecision)
 
 	e.met.recRuns.Inc()
-	book := recoveryBook{
-		totalStart:     time.Now(),
-		statsBefore:    e.stats,
-		clustersBefore: e.met.undoClusters.Load(),
+	p := e.newPipelineLocked(make(map[wal.LSN]bool))
+	if err := p.scanLocked(); err != nil {
+		return nil, err
 	}
-
-	scanStart, analysisAfter, err := e.locateCheckpointLocked()
-	if err != nil {
-		return err
+	if err := p.installLocked(); err != nil {
+		return nil, err
 	}
-
-	// ---- Forward pass: analysis + redo in one sweep (§3.6.1). ----
-	rs := newReplayState()
-	forwardStart := time.Now()
-	e.log.ResetReadCursor()
-	err = e.log.Scan(scanStart, wal.NilLSN, func(rec *wal.Record) (bool, error) {
-		e.stats.RecForwardRecords++
-		if err := e.applyRecordLocked(rec, rec.LSN > analysisAfter, rs); err != nil {
-			return false, err
-		}
-		return true, nil
-	})
-	if err != nil {
-		return err
-	}
-	book.forwardDur = time.Since(forwardStart)
-
-	return e.finishRecoveryLocked(rs, book)
+	e.crashed = false
+	return p, nil
 }
 
 // locateCheckpointLocked consults the master record, seeds the transaction
@@ -179,37 +131,44 @@ func (e *Engine) locateCheckpointLocked() (scanStart, analysisAfter wal.LSN, err
 	return redoStart, ckptEnd, nil
 }
 
-// applyRecordLocked replays one log record into the volatile tables: when
-// analyze is set the transaction table and the object lists absorb it
-// (delegate records rewrite scopes exactly as normal processing did), and
-// updates/CLRs are redone onto pages not already covering them.  This is
-// the body of recovery's forward pass; a follower engine calls it once
-// per shipped record, forever.
-func (e *Engine) applyRecordLocked(rec *wal.Record, analyze bool, rs *replayState) error {
-	if err := e.analyzeRecordLocked(rec, analyze, rs); err != nil {
-		return err
-	}
+// redoable reports whether rec changes an object's page: updates,
+// increments and CLRs are the records redo repeats.
+func redoable(rec *wal.Record) bool {
 	switch rec.Type {
-	case wal.TypeUpdate:
-		return e.redoApply(rs.applied, rec.Object, rec.After, rec.LSN)
-	case wal.TypeIncrement:
-		return e.redoApplyDelta(rs.applied, rec.Object, rec.Delta, rec.LSN)
-	case wal.TypeCLR:
-		if rec.Logical {
-			return e.redoApplyDelta(rs.applied, rec.Object, rec.Delta, rec.LSN)
-		}
-		return e.redoApply(rs.applied, rec.Object, rec.Before, rec.LSN)
+	case wal.TypeUpdate, wal.TypeIncrement, wal.TypeCLR:
+		return true
+	}
+	return false
+}
+
+// redoRecord applies one redoable record to its object's page, stamping
+// the page with the record's LSN: an update's after-image, an
+// increment's delta, a CLR's restored before-image or negated delta.  It
+// is the single page applier of repeating history — chain redo, follower
+// replay, and the CLRs the undo sweep writes all go through it.  Whether
+// the page already reflects the record is the caller's decision.
+func (e *Engine) redoRecord(rec *wal.Record) error {
+	switch {
+	case rec.Type == wal.TypeUpdate:
+		return e.store.Write(rec.Object, rec.After, rec.LSN)
+	case rec.Type == wal.TypeIncrement, rec.Type == wal.TypeCLR && rec.Logical:
+		return e.applyDelta(rec.Object, rec.Delta, rec.LSN)
+	case rec.Type == wal.TypeCLR:
+		return e.store.Write(rec.Object, rec.Before, rec.LSN)
 	}
 	return nil
 }
 
 // analyzeRecordLocked is the analysis half of the forward pass: the
 // transaction-table and object-list bookkeeping for one record, with no
-// page access.  The parallel pipeline runs it sequentially in LSN order
-// over the scanned shards (analysis is inherently ordered — a delegate
-// record rewrites the scopes the records before it built) while the redo
-// half is deferred to the per-object chains.
-func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replayState) error {
+// page access.  When analyze is false (the record precedes the
+// checkpoint the tables were seeded from) only CLRs are noted, into
+// compensated — the update LSNs the backward pass must skip.  The
+// pipeline runs it in LSN order over the scanned shards (analysis is
+// inherently ordered — a delegate record rewrites the scopes the records
+// before it built) while redo is deferred to the per-object chains; a
+// follower runs it once per shipped record.
+func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, compensated map[wal.LSN]bool) error {
 	switch rec.Type {
 	case wal.TypeBegin:
 		if analyze {
@@ -230,7 +189,7 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 			ol.RecordUpdate(rec.TxID, rec.Object, rec.LSN)
 		}
 	case wal.TypeCLR:
-		rs.compensated[rec.Compensates] = true
+		compensated[rec.Compensates] = true
 		if analyze {
 			if info := e.txns.Get(rec.TxID); info != nil {
 				info.LastLSN = rec.LSN
@@ -336,90 +295,11 @@ func (e *Engine) analyzeRecordLocked(rec *wal.Record, analyze bool, rs *replaySt
 	return nil
 }
 
-// finishRecoveryLocked runs everything after the forward pass:
-// classification, the backward cluster sweep, loser termination, the final
-// log force, and the trace.  Recover calls it after its scan; Promote
-// calls it over the follower's continuously maintained replay state —
-// promotion IS this function, there is no separate code path.
-func (e *Engine) finishRecoveryLocked(rs *replayState, book recoveryBook) error {
-	losers, lsrScopes, err := e.classifyLocked()
-	if err != nil {
-		return err
-	}
-
-	// ---- Backward pass: cluster sweep undoing loser updates (§3.6.2). ----
-	backwardStart := time.Now()
-	undoneBefore := e.stats.CLRs
-	if e.opts.FullScanUndo {
-		// Ablation: the rejected alternative — "scan all log records
-		// backwards, identifying the loser updates … unnecessarily
-		// inspecting many winner updates."
-		if err := e.undoScopesFullScan(lsrScopes, rs.compensated); err != nil {
-			return err
-		}
-	} else if err := e.undoScopes(lsrScopes, rs.compensated); err != nil {
-		return err
-	}
-	e.stats.RecCLRs += e.stats.CLRs - undoneBefore
-	e.stats.RecUndone += e.stats.CLRs - undoneBefore
-	backwardDur := time.Since(backwardStart)
-
-	// ---- Terminate losers. ----
-	if err := e.terminateLosers(losers); err != nil {
-		return err
-	}
-	if err := e.log.Flush(e.log.Head()); err != nil {
-		return err
-	}
-	e.crashed = false
-
-	// ---- Record the trace and the cumulative recovery metrics. ----
-	delta := func(after, before uint64) uint64 { return after - before }
-	tr := RecoveryTrace{
-		ForwardDur:      book.forwardDur,
-		BackwardDur:     backwardDur,
-		TotalDur:        time.Since(book.totalStart),
-		ForwardRecords:  delta(e.stats.RecForwardRecords, book.statsBefore.RecForwardRecords),
-		Redone:          delta(e.stats.RecRedone, book.statsBefore.RecRedone),
-		BackwardVisited: delta(e.stats.RecBackwardVisited, book.statsBefore.RecBackwardVisited),
-		BackwardSkipped: delta(e.stats.RecBackwardSkipped, book.statsBefore.RecBackwardSkipped),
-		Clusters:        e.met.undoClusters.Load() - book.clustersBefore,
-		CLRs:            delta(e.stats.RecCLRs, book.statsBefore.RecCLRs),
-		Losers:          delta(e.stats.RecLosers, book.statsBefore.RecLosers),
-		Winners:         delta(e.stats.RecWinners, book.statsBefore.RecWinners),
-	}
-	tr.Stages = []RecoveryStage{
-		{Name: "forward", Dur: tr.ForwardDur, Units: tr.ForwardRecords},
-		{Name: "backward", Dur: tr.BackwardDur, Units: tr.BackwardVisited},
-	}
-	e.emitRecoveryTraceLocked(tr)
-	return nil
-}
-
-// emitRecoveryTraceLocked stores tr as the last recovery trace and feeds
-// the cumulative recovery metrics and the completion event from it.
-// Shared by sequential recovery, promotion and the parallel pipeline's
-// finisher (which holds the latch when it calls).
-func (e *Engine) emitRecoveryTraceLocked(tr RecoveryTrace) {
-	e.lastTrace = tr
-	e.met.recForwardRecords.Add(tr.ForwardRecords)
-	e.met.recRedone.Add(tr.Redone)
-	e.met.recCLRs.Add(tr.CLRs)
-	e.met.recLosers.Add(tr.Losers)
-	e.met.recWinners.Add(tr.Winners)
-	e.met.recForwardNs.Observe(tr.ForwardDur)
-	e.met.recBackwardNs.Observe(tr.BackwardDur)
-	e.met.recTotalNs.Observe(tr.TotalDur)
-	if e.reg.HasEventHook() {
-		e.reg.Emit(obs.Event{Name: "recovery.complete", Value: int64(tr.CLRs), Dur: tr.TotalDur})
-	}
-}
-
 // classifyLocked identifies winners and losers from the transaction
 // table after the forward pass (§3.6.1): winners whose End record was
 // lost get one appended and leave the tables; everything else is a loser
-// and contributes its owned scopes to LsrScopes.  Shared by sequential
-// recovery, promotion, and the parallel pipeline's setup phase.
+// and contributes its owned scopes to LsrScopes.  The pipeline's setup
+// runs it for both recovery and promotion.
 func (e *Engine) classifyLocked() (losers []wal.TxID, lsrScopes []delegation.Scope, err error) {
 	for _, info := range e.txns.Snapshot() {
 		if info.Status == txn.Committed {
@@ -452,9 +332,8 @@ func (e *Engine) classifyLocked() (losers []wal.TxID, lsrScopes []delegation.Sco
 
 // terminateLosers appends the Abort (where needed) and End records that
 // finish every loser and drops them from the volatile tables.  The
-// caller owns the transaction table — either by holding the engine latch
-// (sequential recovery) or by being the pipeline's finisher after its
-// workers have drained.
+// caller is the pipeline's finisher, holding the engine latch after the
+// redo drain and the undo sweep have completed.
 func (e *Engine) terminateLosers(losers []wal.TxID) error {
 	for _, id := range losers {
 		info := e.txns.Get(id)
@@ -480,102 +359,54 @@ func (e *Engine) terminateLosers(losers []wal.TxID) error {
 	return e.relockInDoubtLocked()
 }
 
-// undoScopesFullScan is the ablation counterpart of undoScopes: it visits
-// EVERY log position from the head down to the oldest loser scope,
-// checking each update against the scopes.  Functionally identical to the
-// cluster sweep; the visit counters expose the cost difference the paper's
-// cluster design avoids.
-func (e *Engine) undoScopesFullScan(scopes []delegation.Scope, compensated map[wal.LSN]bool) error {
-	if len(scopes) == 0 {
-		return nil
-	}
-	low := scopes[0].First
-	high := scopes[0].Last
-	for _, s := range scopes[1:] {
-		if s.First < low {
-			low = s.First
-		}
-		if s.Last > high {
-			high = s.Last
-		}
-	}
-	hooked := e.reg.HasEventHook()
-	for k := high; k >= low && k != wal.NilLSN; k-- {
-		e.stats.RecBackwardVisited++
-		e.met.undoVisited.Inc()
-		if hooked {
-			e.reg.Emit(obs.Event{Name: "undo.visit", LSN: uint64(k)})
-		}
-		rec, err := e.log.Get(k)
-		if err != nil {
-			return err
-		}
-		if !rec.IsUndoable() || compensated[k] {
-			continue
-		}
-		for _, s := range scopes {
-			if s.Invoker == rec.TxID && s.Object == rec.Object && s.Contains(k) {
-				if rec.Type == wal.TypeIncrement {
-					if err := e.undoIncrement(s.Owner, rec); err != nil {
-						return err
-					}
-				} else if err := e.undoUpdate(s.Owner, rec); err != nil {
-					return err
-				}
-				break
-			}
-		}
-	}
-	return nil
+// undoOrder is the visit order of the backward sweep: the positions to
+// examine in strictly decreasing LSN order, and which loser (if any) is
+// responsible for the update at each.
+type undoOrder interface {
+	Next() (wal.LSN, bool)
+	ShouldUndo(invoker wal.TxID, object wal.ObjectID, lsn wal.LSN) (wal.TxID, bool)
 }
 
-// redoApply repeats history for one logged change: the value is applied
-// unless the object's stable image already reflects it.  On the first
-// touch of an object the page image's coverage is discovered from its
-// pageLSN: a page flushed at pageLSN pl contains exactly the updates with
-// LSN ≤ pl for every object stored in it.
-func (e *Engine) redoApply(applied map[wal.ObjectID]wal.LSN, obj wal.ObjectID, val []byte, lsn wal.LSN) error {
-	la, ok := applied[obj]
-	if !ok {
-		pl, err := e.store.PageLSN(obj)
-		if err != nil {
-			return err
-		}
-		la = pl
-		applied[obj] = la
-	}
-	if lsn <= la {
-		return nil
-	}
-	if err := e.store.Write(obj, val, lsn); err != nil {
-		return err
-	}
-	applied[obj] = lsn
-	e.stats.RecRedone++
-	return nil
+// fullScanOrder is the A1 ablation's visit order (Options.FullScanUndo):
+// the alternative §3.6.2 rejects — "scan all log records backwards,
+// identifying the loser updates … unnecessarily inspecting many winner
+// updates."  It yields EVERY position from the highest loser LSN down to
+// the lowest and tests each against every scope.  Functionally identical
+// to the cluster planner; the visit counters expose the cost difference
+// the paper's cluster design avoids.
+type fullScanOrder struct {
+	scopes    []delegation.Scope
+	next, low wal.LSN
 }
 
-// redoApplyDelta repeats history for a logical (increment or logical-CLR)
-// change, with the same per-object coverage discipline as redoApply.
-func (e *Engine) redoApplyDelta(applied map[wal.ObjectID]wal.LSN, obj wal.ObjectID, delta int64, lsn wal.LSN) error {
-	la, ok := applied[obj]
-	if !ok {
-		pl, err := e.store.PageLSN(obj)
-		if err != nil {
-			return err
+func newFullScanOrder(scopes []delegation.Scope) *fullScanOrder {
+	f := &fullScanOrder{scopes: scopes}
+	for i, s := range scopes {
+		if i == 0 || s.First < f.low {
+			f.low = s.First
 		}
-		la = pl
-		applied[obj] = la
+		if s.Last > f.next {
+			f.next = s.Last
+		}
 	}
-	if lsn <= la {
-		return nil
+	return f
+}
+
+func (f *fullScanOrder) Next() (wal.LSN, bool) {
+	if f.next == wal.NilLSN || f.next < f.low {
+		return wal.NilLSN, false
 	}
-	if err := e.applyDelta(obj, delta, lsn); err != nil {
-		return err
+	f.next--
+	return f.next + 1, true
+}
+
+func (f *fullScanOrder) ShouldUndo(invoker wal.TxID, object wal.ObjectID, lsn wal.LSN) (wal.TxID, bool) {
+	for _, s := range f.scopes {
+		if s.Invoker == invoker && s.Object == object && s.Contains(lsn) {
+			return s.Owner, true
+		}
 	}
-	applied[obj] = lsn
-	e.stats.RecRedone++
-	return nil
+	return wal.NilTx, false
 }
 
 // IsCrashed reports whether the engine is between Crash and Recover.

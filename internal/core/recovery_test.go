@@ -1,25 +1,62 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"ariesrh/internal/storage"
 	"ariesrh/internal/wal"
 )
 
+// recoverAndWait runs Recover to completion on either schedule and
+// returns the recovery's error.
+func recoverAndWait(e *Engine) error {
+	if err := e.Recover(); err != nil {
+		return err
+	}
+	return e.WaitRecovered()
+}
+
 func crashAndRecover(t *testing.T, e *Engine) {
 	t.Helper()
 	if err := e.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Recover(); err != nil {
+	if err := recoverAndWait(e); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// forEachSchedule runs body once per recovery schedule: sequential, and
+// the parallel pipeline (Options.ParallelRecovery).
+func forEachSchedule(t *testing.T, body func(t *testing.T, parallel bool)) {
+	for _, parallel := range []bool{false, true} {
+		name := "sequential"
+		if parallel {
+			name = "parallel"
+		}
+		t.Run(name, func(t *testing.T) { body(t, parallel) })
+	}
+}
+
+// newScheduledEngine is newEngine on the given recovery schedule.
+func newScheduledEngine(t *testing.T, parallel bool) *Engine {
+	t.Helper()
+	e, err := New(Options{PoolSize: 16, ParallelRecovery: parallel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestRecoveryCommittedSurvivesCrash(t *testing.T) {
-	e := newEngine(t)
+	forEachSchedule(t, testRecoveryCommittedSurvivesCrash)
+}
+
+func testRecoveryCommittedSurvivesCrash(t *testing.T, parallel bool) {
+	e := newScheduledEngine(t, parallel)
 	tx := mustBegin(t, e)
 	mustUpdate(t, e, tx, 1, "durable")
 	mustCommit(t, e, tx)
@@ -28,7 +65,11 @@ func TestRecoveryCommittedSurvivesCrash(t *testing.T) {
 }
 
 func TestRecoveryUncommittedRolledBack(t *testing.T) {
-	e := newEngine(t)
+	forEachSchedule(t, testRecoveryUncommittedRolledBack)
+}
+
+func testRecoveryUncommittedRolledBack(t *testing.T, parallel bool) {
+	e := newScheduledEngine(t, parallel)
 	setup := mustBegin(t, e)
 	mustUpdate(t, e, setup, 1, "base")
 	mustCommit(t, e, setup)
@@ -48,9 +89,13 @@ func TestRecoveryUncommittedRolledBack(t *testing.T) {
 }
 
 func TestRecoveryUnflushedCommittedLost(t *testing.T) {
+	forEachSchedule(t, testRecoveryUnflushedCommittedLost)
+}
+
+func testRecoveryUnflushedCommittedLost(t *testing.T, parallel bool) {
 	// A transaction whose commit record never reached stable storage is
 	// a loser: its updates must not survive.
-	e := newEngine(t)
+	e := newScheduledEngine(t, parallel)
 	tx := mustBegin(t, e)
 	mustUpdate(t, e, tx, 1, "phantom")
 	// Commit flushes; instead simulate the crash BEFORE commit.
@@ -66,8 +111,10 @@ func TestRecoveryUnflushedCommittedLost(t *testing.T) {
 // TestRecoveryDelegationWinner is the heart of ARIES/RH: an update whose
 // invoking transaction aborted/crashed survives because it was delegated
 // to a transaction that committed before the crash.
-func TestRecoveryDelegationWinner(t *testing.T) {
-	e := newEngine(t)
+func TestRecoveryDelegationWinner(t *testing.T) { forEachSchedule(t, testRecoveryDelegationWinner) }
+
+func testRecoveryDelegationWinner(t *testing.T, parallel bool) {
+	e := newScheduledEngine(t, parallel)
 	t1 := mustBegin(t, e)
 	t2 := mustBegin(t, e)
 	mustUpdate(t, e, t1, 1, "delegated")
@@ -80,8 +127,10 @@ func TestRecoveryDelegationWinner(t *testing.T) {
 
 // TestRecoveryDelegationLoser: the dual — the invoker committed, but the
 // final delegatee is a loser, so the update is obliterated.
-func TestRecoveryDelegationLoser(t *testing.T) {
-	e := newEngine(t)
+func TestRecoveryDelegationLoser(t *testing.T) { forEachSchedule(t, testRecoveryDelegationLoser) }
+
+func testRecoveryDelegationLoser(t *testing.T, parallel bool) {
+	e := newScheduledEngine(t, parallel)
 	t1 := mustBegin(t, e)
 	t2 := mustBegin(t, e)
 	mustUpdate(t, e, t1, 1, "doomed")
@@ -93,7 +142,11 @@ func TestRecoveryDelegationLoser(t *testing.T) {
 }
 
 func TestRecoveryDelegationChainAcrossCrash(t *testing.T) {
-	e := newEngine(t)
+	forEachSchedule(t, testRecoveryDelegationChainAcrossCrash)
+}
+
+func testRecoveryDelegationChainAcrossCrash(t *testing.T, parallel bool) {
+	e := newScheduledEngine(t, parallel)
 	t0 := mustBegin(t, e)
 	t1 := mustBegin(t, e)
 	t2 := mustBegin(t, e)
@@ -108,11 +161,13 @@ func TestRecoveryDelegationChainAcrossCrash(t *testing.T) {
 	wantValue(t, e, 6, "")        // t0's own update rolled back
 }
 
-func TestRecoveryPaperExample2(t *testing.T) {
+func TestRecoveryPaperExample2(t *testing.T) { forEachSchedule(t, testRecoveryPaperExample2) }
+
+func testRecoveryPaperExample2(t *testing.T, parallel bool) {
 	// Example 2 with a crash instead of explicit terminations: t1
 	// committed (first update survives), t2 active at crash (second
 	// update undone), t committed.
-	e := newEngine(t)
+	e := newScheduledEngine(t, parallel)
 	tt := mustBegin(t, e)
 	t1 := mustBegin(t, e)
 	t2 := mustBegin(t, e)
@@ -127,8 +182,10 @@ func TestRecoveryPaperExample2(t *testing.T) {
 	wantValue(t, e, ob, "first")
 }
 
-func TestRecoveryWithCheckpoint(t *testing.T) {
-	e := newEngine(t)
+func TestRecoveryWithCheckpoint(t *testing.T) { forEachSchedule(t, testRecoveryWithCheckpoint) }
+
+func testRecoveryWithCheckpoint(t *testing.T, parallel bool) {
+	e := newScheduledEngine(t, parallel)
 	t1 := mustBegin(t, e)
 	t2 := mustBegin(t, e)
 	mustUpdate(t, e, t1, 1, "delegated")
@@ -149,10 +206,14 @@ func TestRecoveryWithCheckpoint(t *testing.T) {
 }
 
 func TestRecoveryCheckpointLoserScopes(t *testing.T) {
+	forEachSchedule(t, testRecoveryCheckpointLoserScopes)
+}
+
+func testRecoveryCheckpointLoserScopes(t *testing.T, parallel bool) {
 	// The loser's delegated-in scopes cross a checkpoint: recovery must
 	// undo updates that precede the checkpoint using the checkpointed
 	// object lists.
-	e := newEngine(t)
+	e := newScheduledEngine(t, parallel)
 	t1 := mustBegin(t, e)
 	t2 := mustBegin(t, e)
 	mustUpdate(t, e, t1, 1, "doomed")
@@ -172,7 +233,11 @@ func TestRecoveryCheckpointLoserScopes(t *testing.T) {
 }
 
 func TestRecoveryAbortedBeforeCrashStaysRolledBack(t *testing.T) {
-	e := newEngine(t)
+	forEachSchedule(t, testRecoveryAbortedBeforeCrashStaysRolledBack)
+}
+
+func testRecoveryAbortedBeforeCrashStaysRolledBack(t *testing.T, parallel bool) {
+	e := newScheduledEngine(t, parallel)
 	setup := mustBegin(t, e)
 	mustUpdate(t, e, setup, 1, "base")
 	mustCommit(t, e, setup)
@@ -184,10 +249,14 @@ func TestRecoveryAbortedBeforeCrashStaysRolledBack(t *testing.T) {
 }
 
 func TestRecoveryCrashDuringRecovery(t *testing.T) {
+	forEachSchedule(t, testRecoveryCrashDuringRecovery)
+}
+
+func testRecoveryCrashDuringRecovery(t *testing.T, parallel bool) {
 	// Crash, recover partially (simulated by crashing immediately after
 	// recovery completes and once more before), recover again: the CLRs
 	// and compensated-set logic must keep undo idempotent.
-	e := newEngine(t)
+	e := newScheduledEngine(t, parallel)
 	setup := mustBegin(t, e)
 	mustUpdate(t, e, setup, 1, "base")
 	mustCommit(t, e, setup)
@@ -202,9 +271,11 @@ func TestRecoveryCrashDuringRecovery(t *testing.T) {
 	wantValue(t, e, 1, "base")
 }
 
-func TestRecoveryIdempotentRedo(t *testing.T) {
+func TestRecoveryIdempotentRedo(t *testing.T) { forEachSchedule(t, testRecoveryIdempotentRedo) }
+
+func testRecoveryIdempotentRedo(t *testing.T, parallel bool) {
 	// Repeated crash/recover cycles leave committed state intact.
-	e := newEngine(t)
+	e := newScheduledEngine(t, parallel)
 	tx := mustBegin(t, e)
 	for i := 1; i <= 20; i++ {
 		mustUpdate(t, e, tx, wal.ObjectID(i%5+1), fmt.Sprintf("v%d", i))
@@ -245,8 +316,10 @@ func TestRecoveryReopenFromStores(t *testing.T) {
 	wantValue(t, e2, 2, "")
 }
 
-func TestRecoveryStatsShape(t *testing.T) {
-	e := newEngine(t)
+func TestRecoveryStatsShape(t *testing.T) { forEachSchedule(t, testRecoveryStatsShape) }
+
+func testRecoveryStatsShape(t *testing.T, parallel bool) {
+	e := newScheduledEngine(t, parallel)
 	t1 := mustBegin(t, e)
 	t2 := mustBegin(t, e)
 	mustUpdate(t, e, t1, 1, "a")
@@ -266,6 +339,22 @@ func TestRecoveryStatsShape(t *testing.T) {
 	}
 	if s.RecForwardRecords == 0 || s.RecRedone == 0 {
 		t.Fatalf("forward pass stats empty: %+v", s)
+	}
+	// Both schedules run the same pipeline and trace the same stages;
+	// the forward pass is scan plus analysis.
+	tr := e.LastRecoveryTrace()
+	var names []string
+	for _, st := range tr.Stages {
+		names = append(names, st.Name)
+	}
+	if got := strings.Join(names, ","); got != "scan,analysis,redo,undo,finish" {
+		t.Fatalf("stages = %s", got)
+	}
+	if tr.Parallel != parallel {
+		t.Fatalf("trace Parallel = %v on the parallel=%v schedule", tr.Parallel, parallel)
+	}
+	if want := tr.Stages[0].Dur + tr.Stages[1].Dur; tr.ForwardDur != want {
+		t.Fatalf("ForwardDur = %v, scan+analysis = %v", tr.ForwardDur, want)
 	}
 }
 
@@ -294,7 +383,11 @@ func TestCrashRejectsOperationsUntilRecover(t *testing.T) {
 }
 
 func TestRecoveryManyObjectsManyTxns(t *testing.T) {
-	e := newEngine(t)
+	forEachSchedule(t, testRecoveryManyObjectsManyTxns)
+}
+
+func testRecoveryManyObjectsManyTxns(t *testing.T, parallel bool) {
+	e := newScheduledEngine(t, parallel)
 	committedVals := map[wal.ObjectID]string{}
 	// Interleave 10 committed and 10 crashed transactions over 50 objects.
 	for round := 0; round < 10; round++ {
@@ -324,10 +417,14 @@ func TestRecoveryManyObjectsManyTxns(t *testing.T) {
 }
 
 func TestRecoverRetryWithoutCrashAfterInjectedFailure(t *testing.T) {
+	forEachSchedule(t, testRecoverRetryWithoutCrashAfterInjectedFailure)
+}
+
+func testRecoverRetryWithoutCrashAfterInjectedFailure(t *testing.T, parallel bool) {
 	// A failed recovery attempt must be retryable directly: the second
 	// Recover starts from a clean slate instead of double-applying
 	// delegations onto the half-built tables.
-	e := newEngine(t)
+	e := newScheduledEngine(t, parallel)
 	t1 := mustBegin(t, e)
 	t2 := mustBegin(t, e)
 	mustUpdate(t, e, t1, 1, "delegated")
@@ -342,11 +439,11 @@ func TestRecoverRetryWithoutCrashAfterInjectedFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetRecoveryFailpoint(1)
-	if err := e.Recover(); err == nil {
-		t.Fatal("failpoint did not fire")
+	if err := recoverAndWait(e); !errors.Is(err, ErrInjectedRecoveryFailure) {
+		t.Fatalf("failpoint did not fire: %v", err)
 	}
 	// Retry WITHOUT another Crash.
-	if err := e.Recover(); err != nil {
+	if err := recoverAndWait(e); err != nil {
 		t.Fatal(err)
 	}
 	wantValue(t, e, 1, "delegated")

@@ -102,8 +102,8 @@ type Options struct {
 	// shard's single-shard commit path; cross-shard prepares and
 	// decisions always force synchronously.
 	EarlyLockRelease bool
-	// ParallelRecovery runs each shard's recovery as the
-	// instant-restart pipeline.  Sharded recovery waits for every
+	// ParallelRecovery runs each shard's recovery on the parallel
+	// (instant-restart) schedule.  Sharded recovery waits for every
 	// shard's pipeline before resolving in-doubt transactions, so
 	// Recover returns with all shards writable.
 	ParallelRecovery bool
@@ -332,8 +332,8 @@ func (db *DB) resolveInDoubt() error {
 	return nil
 }
 
-// WaitRecovered blocks until every shard's in-flight parallel recovery
-// pipeline completes, returning the first failure (that shard is back
+// WaitRecovered blocks until every shard's in-flight recovery pipeline
+// completes, returning the first failure (that shard is back
 // in the crashed state; Recover may be retried).
 func (db *DB) WaitRecovered() error {
 	for i, e := range db.engs {

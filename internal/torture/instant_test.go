@@ -44,6 +44,7 @@ func TestReadsDuringRecoverySecondSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("reads-during-recovery second-seed sweep: %+v", res)
 	if res.Crashes == 0 || res.Losers == 0 {
 		t.Fatalf("sweep did no useful work: %+v", res)
 	}

@@ -1,8 +1,8 @@
 // Package torture is the fault-injection torture harness for crash
 // recovery: it drives delegation-heavy randomized workloads over a
-// fault.Store, crashes the engine at every injected boundary, recovers,
-// and checks the recovered state against the sim oracle plus log-level
-// invariants.
+// fault.Dir log device, crashes the engine at every injected boundary,
+// recovers, and checks the recovered state against the sim oracle plus
+// log-level invariants.
 //
 // The central entry point is Run, the crash-point sweep.  One seed fully
 // determines a workload trace AND the set of crash points it is swept

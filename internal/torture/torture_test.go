@@ -53,6 +53,7 @@ func TestCrashSweepSecondSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("second-seed sweep: %+v", res)
 	if res.Crashes == 0 || res.Losers == 0 {
 		t.Fatalf("sweep did no useful work: %+v", res)
 	}

@@ -109,6 +109,11 @@ func decodeSegmentHeader(p []byte) (segmentHeader, error) {
 	if binary.LittleEndian.Uint32(p[0:]) != segmentMagic {
 		return segmentHeader{}, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
+	// encodeSegmentHeader always writes zero padding after the magic;
+	// anything else is a damaged header.
+	if binary.LittleEndian.Uint32(p[4:]) != 0 {
+		return segmentHeader{}, fmt.Errorf("%w: nonzero segment header padding", ErrCorrupt)
+	}
 	return segmentHeader{
 		num:      binary.LittleEndian.Uint64(p[8:]),
 		firstLSN: LSN(binary.LittleEndian.Uint64(p[16:])),

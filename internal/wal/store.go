@@ -43,8 +43,9 @@ type Store interface {
 // choice for deterministic crash-injection tests.  MemStore itself is
 // stricter than the Store contract requires: every write is immediately
 // "stable" (Sync is a no-op), so it never produces torn tails on its
-// own — wrap it in a fault.Store to model unsynced-byte loss and torn
-// appends.  The zero value is an empty, ready-to-use store.
+// own — unsynced-byte loss and torn appends of the log are modelled by
+// fault.Dir, the faulty segment directory.  The zero value is an empty,
+// ready-to-use store.
 type MemStore struct {
 	mu   sync.RWMutex
 	data []byte

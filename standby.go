@@ -74,14 +74,17 @@ type StandbyOptions struct {
 	Dir string
 	// PoolSize is the buffer-pool capacity in pages (default 128).
 	PoolSize int
-	// ParallelRecovery makes Promote run its backward pass as the
-	// instant-restart pipeline: Promote returns once the undo sweep is
-	// started, the promoted DB reports StateRecovering and serves reads
-	// (each gated on the undo of the loser clusters covering its object)
-	// while writes return ErrRecovering until DB.WaitRecovered returns
-	// nil.  The promoted state is identical to a sequential promotion's;
-	// a pipeline failure leaves the engine a follower and Promote may be
-	// retried.
+	// ParallelRecovery selects when Promote returns.  Promotion is the
+	// recovery pipeline's backward half either way — classify, undo sweep,
+	// finish — over the standby's completed forward pass.  Off (the
+	// default), Promote returns the DB once promotion is complete.  On,
+	// Promote returns as soon as the undo sweep is started.  While the
+	// sweep runs, on either schedule, the promoted DB reports
+	// StateRecovering, serves reads (each gated on the undo of the loser
+	// clusters covering its object) and returns ErrRecovering for writes
+	// until DB.WaitRecovered returns nil.  The promoted state is the same
+	// on both schedules; a failure leaves the engine a follower and
+	// Promote may be retried.
 	ParallelRecovery bool
 }
 
@@ -207,8 +210,8 @@ func (s *Standby) Metrics() MetricsSnapshot { return s.rep.Engine().Metrics() }
 // promotion-specific recovery code.  Disconnect Follow first.  After a
 // successful Promote the Standby handle is dead; use the returned DB.
 //
-// With StandbyOptions.ParallelRecovery the sweep runs as a pipeline:
-// Promote returns immediately with the DB in StateRecovering — reads flow
+// With StandbyOptions.ParallelRecovery, Promote returns as soon as the
+// sweep is started, with the DB in StateRecovering — reads flow
 // throughout (never observing a half-undone object), writes are accepted
 // once DB.WaitRecovered returns nil.
 func (s *Standby) Promote() (*DB, error) {
