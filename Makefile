@@ -2,6 +2,7 @@
 #
 #   make check     vet + build + full test suite + short race pass
 #   make ci        the CI pipeline; .github/workflows/ci.yml runs exactly this
+#   make fmt       gofmt gate: fails if any Go file needs reformatting
 #   make race      race-detector run of the concurrency-sensitive packages
 #   make torture   fixed-seed fault-injection crash sweep (nightly CI job)
 #   make standby-demo  end-to-end log-shipping failover over TCP
@@ -14,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: check ci vet staticcheck build test perfbench-test race fuzz-short torture standby-demo bench bench-e8 bench-e11 bench-e12 bench-e13 bench-e14 bench-e15
+.PHONY: check ci fmt vet staticcheck build test perfbench-test race fuzz-short torture standby-demo bench bench-e8 bench-e11 bench-e12 bench-e13 bench-e14 bench-e15
 
 check: vet build test race
 
@@ -22,7 +23,7 @@ check: vet build test race
 # the tools and runs this target.  Full race (not -short) on the
 # latch-heavy packages, the short torture pass, the TCP failover demo,
 # and a short fuzz pass over every wire-format decoder.
-ci: vet staticcheck build test perfbench-test
+ci: fmt vet staticcheck build test perfbench-test
 	$(GO) test -race ./internal/core ./internal/wal ./internal/repl ./internal/shard
 	$(GO) test -race -short ./internal/torture ./internal/fault
 	$(MAKE) standby-demo
@@ -44,6 +45,10 @@ fuzz-short:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeSegmentHeader -fuzztime 15s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodePrepare -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 30s
+
+# gofmt -l lists the files whose formatting differs; any output fails.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -75,8 +75,9 @@ var (
 	ErrRecovering = core.ErrRecovering
 	// ErrDegraded is returned (wrapped) by mutating operations after a
 	// persistent log-device failure moved the database to read-only
-	// degraded mode.  Reads and Abort still work; Crash + Recover with a
-	// healthy device is the repair action.  See DB.Health.
+	// degraded mode.  Reads, Abort and read-only commits still work;
+	// Crash + Recover with a healthy device is the repair action.  See
+	// DB.Health.
 	ErrDegraded = core.ErrDegraded
 	// ErrCommitAborted is returned by Commit when an early-lock-release
 	// commit (Options.EarlyLockRelease) could not be made durable: the
@@ -369,8 +370,9 @@ const (
 	// StateHealthy: all operations available.
 	StateHealthy = core.StateHealthy
 	// StateDegraded: a persistent log-device failure was detected after
-	// the WAL's retry budget was spent.  Reads and Abort remain
-	// available; every other mutation returns ErrDegraded.  No commit
+	// the WAL's retry budget was spent.  Reads, Abort and read-only
+	// commits remain available; every other mutation returns
+	// ErrDegraded.  No commit
 	// was ever acknowledged without its records being durable.
 	StateDegraded = core.StateDegraded
 	// StateCrashed: between Crash and Recover.
@@ -732,6 +734,15 @@ func (tx *Tx) DB() *DB { return tx.db }
 // failure returns an error (the transaction is NOT committed — though a
 // crash may still find the record durable; recovery honors the log) and
 // moves the database to degraded mode.
+//
+// A read-only transaction — one that has logged nothing since it began,
+// is responsible for no updates and has no dependency — writes only an
+// end record and forces nothing: there is nothing to make durable, and a
+// crash that loses the end record leaves a loser that owns nothing, so
+// recovery undoes nothing for it.  Such a commit succeeds in degraded
+// mode too.  A reader that saw an early-lock-release committer's
+// pre-durable value depends on it and takes the forced path, so its nil
+// return still implies the committer's durability.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrTxDone

@@ -62,9 +62,10 @@ var (
 	// ErrDegraded is returned for mutating operations while the engine is
 	// in the read-only degraded state it enters after a persistent log
 	// device error (a commit- or abort-time force that failed even after
-	// the WAL's bounded retries).  Reads and Aborts remain available —
-	// aborts need no durability, recovery re-aborts them idempotently —
-	// and Crash+Recover clears the state once the device is healthy.
+	// the WAL's bounded retries).  Reads, Aborts and read-only Commits
+	// remain available — neither needs durability: recovery re-aborts an
+	// abort idempotently, and a read-only transaction owns nothing — and
+	// Crash+Recover clears the state once the device is healthy.
 	ErrDegraded = errors.New("core: engine degraded to read-only (persistent log device error)")
 	// ErrCommitAborted is returned by Commit when an early-lock-release
 	// commit could not be made durable: the transaction's locks were
@@ -83,8 +84,9 @@ const (
 	// StateHealthy: all operations available.
 	StateHealthy HealthState = iota
 	// StateDegraded: a persistent log device error was observed; the
-	// engine accepts reads and aborts but rejects every operation that
-	// would need new durable log records with ErrDegraded.
+	// engine accepts reads, aborts and read-only commits but rejects
+	// every operation that would need new durable log records with
+	// ErrDegraded.
 	StateDegraded
 	// StateCrashed: between Crash and Recover; everything but Recover is
 	// rejected with ErrCrashed.

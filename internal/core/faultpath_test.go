@@ -30,6 +30,13 @@ func TestPersistentSyncErrorReleasesAllFlushWaiters(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A reader begun before the failure: its commit needs no durable
+	// bytes, so it stays available in degraded mode.
+	reader := mustBegin(t, e)
+	if _, err := e.Read(reader, 1000); err != nil {
+		t.Fatal(err)
+	}
+
 	const committers = 6
 	txs := make([]wal.TxID, committers)
 	for i := range txs {
@@ -95,6 +102,9 @@ func TestPersistentSyncErrorReleasesAllFlushWaiters(t *testing.T) {
 	// no new durable bytes and must succeed (releasing locks) even now.
 	if err := e.Abort(txs[0]); err != nil {
 		t.Fatalf("Abort in degraded mode = %v, want success", err)
+	}
+	if err := e.Commit(reader); err != nil {
+		t.Fatalf("read-only Commit in degraded mode = %v, want success", err)
 	}
 	if got := e.Metrics().Gauge("core.degraded"); got != 1 {
 		t.Fatalf("core.degraded gauge = %d, want 1", got)

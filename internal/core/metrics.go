@@ -14,6 +14,11 @@ type engineMetrics struct {
 	begins, updates, reads, delegations, commits, aborts,
 	clrs, checkpoints *obs.Counter
 
+	// readonlyCommits counts the commits (included in commits) that took
+	// the log-free read-only path: an end record, no commit record and no
+	// log force.
+	readonlyCommits *obs.Counter
+
 	// Backward-sweep counters, shared by normal-processing aborts and
 	// the recovery backward pass: positions visited, positions skipped
 	// between clusters, clusters entered.
@@ -70,6 +75,7 @@ func bindEngineMetrics(r *obs.Registry) engineMetrics {
 		reads:             r.Counter("core.reads"),
 		delegations:       r.Counter("core.delegations"),
 		commits:           r.Counter("core.commits"),
+		readonlyCommits:   r.Counter("core.readonly_commits"),
 		aborts:            r.Counter("core.aborts"),
 		clrs:              r.Counter("core.clrs"),
 		checkpoints:       r.Counter("core.checkpoints"),

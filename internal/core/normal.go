@@ -25,6 +25,7 @@ func (e *Engine) Begin() (wal.TxID, error) {
 		return wal.NilTx, err
 	}
 	info.LastLSN = lsn
+	info.BeginLSN = lsn
 	e.state[info.ID] = delegation.NewObList()
 	e.stats.Begins++
 	e.met.begins.Inc()
@@ -350,9 +351,35 @@ func (e *Engine) ObjectsOf(tx wal.TxID) ([]wal.ObjectID, error) {
 // operations (Update/Delegate/Read) proceed during the sync instead of
 // stalling behind it.  With GroupCommitOff every commit performs its own
 // synchronous flush under the latch, the pre-group-commit behavior.
+//
+// Read-only commit: a transaction that has logged nothing since its
+// begin record, owns an empty Ob_List and has no dependency edges
+// appends only its end record — no commit record, no log force — under
+// every GroupCommit mode, and, like Abort, even in degraded mode.  The
+// force exists to make durable the updates a transaction is responsible
+// for (§3.4–3.5); such a transaction is responsible for none, so
+// recovery has nothing to redo or undo for it: if the end record is lost
+// with a crash it is a loser that owns nothing (zero CLRs).  A reader
+// that picked up an early-lock-release abort dependency has an edge and
+// takes the forced path, so its ack still implies the durability of the
+// data it read.
+//
+// Crash-safety contract: a nil return means the commit record is on
+// stable storage (for a read-only commit, that there was nothing to make
+// durable).  A failed force leaves the transaction Active and degrades
+// the engine; under early lock release it is rolled back instead and
+// ErrCommitAborted is returned.
 func (e *Engine) Commit(tx wal.TxID) error {
 	start := time.Now()
 	e.mu.Lock()
+	if info := e.readOnlyLocked(tx); info != nil {
+		defer e.mu.Unlock()
+		info.Status = txn.Committed
+		e.met.readonlyCommits.Inc()
+		// The end record chains to the begin record, the head of the
+		// transaction's backward chain.
+		return e.finishCommitLocked(tx, info, info.LastLSN, start)
+	}
 	if err := e.writableLocked(); err != nil {
 		e.mu.Unlock()
 		return err
@@ -440,6 +467,26 @@ func (e *Engine) Commit(tx wal.TxID) error {
 		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
 	return e.finishCommitLocked(tx, info, lsn, start)
+}
+
+// readOnlyLocked returns tx's table entry if tx qualifies for the
+// log-free read-only commit (see Commit): active, nothing logged since
+// its begin record, an empty Ob_List and no dependency edges.  A
+// delegatee that received scopes has a non-empty Ob_List even under
+// DisableChaining, where its LastLSN does not move.  The engine must
+// accept writes apart from being degraded — a read-only commit needs no
+// new durable bytes — so it returns nil while crashed, recovering or
+// following.  The caller holds the latch.
+func (e *Engine) readOnlyLocked(tx wal.TxID) *txn.Info {
+	if e.crashed || e.recovering != nil || e.follower {
+		return nil
+	}
+	info := e.txns.Get(tx)
+	if info == nil || info.Status != txn.Active || info.LastLSN != info.BeginLSN ||
+		e.state[tx].Len() != 0 || len(e.deps[tx]) != 0 {
+		return nil
+	}
+	return info
 }
 
 // finishCommitLocked completes a commit whose commit record (at lsn) is

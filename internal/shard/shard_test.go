@@ -73,8 +73,8 @@ func TestSingleShardFastPath(t *testing.T) {
 
 // TestReadOnlyParticipantsSkipPrepare pins the read-only optimization:
 // a transaction that reads on one shard and writes on another commits
-// through the fast path (the read-only branch just aborts, releasing
-// its locks — presumed abort already describes it).
+// through the fast path (the read-only branch takes its engine's
+// log-free read-only commit, releasing its locks without a force).
 func TestReadOnlyParticipantsSkipPrepare(t *testing.T) {
 	db := openTest(t, 2)
 	seed, _ := db.Begin()
@@ -98,6 +98,9 @@ func TestReadOnlyParticipantsSkipPrepare(t *testing.T) {
 	}
 	if got := m.Counter("router.single_shard_commits"); got != 2 {
 		t.Fatalf("single_shard_commits = %d, want 2", got)
+	}
+	if got := m.Counter("shard.1.core.readonly_commits"); got != 1 {
+		t.Fatalf("shard.1.core.readonly_commits = %d, want 1", got)
 	}
 	// The read lock on shard 1 was released: a writer proceeds.
 	w, _ := db.Begin()
@@ -553,6 +556,30 @@ func TestMetricsAggregation(t *testing.T) {
 	base := m.Histogram("core.commit_ns")
 	if base.Count != m.Histogram("shard.0.core.commit_ns").Count+m.Histogram("shard.1.core.commit_ns").Count {
 		t.Fatal("aggregated commit_ns count is not the sum of the shard series")
+	}
+
+	// A read-only transaction over both shards commits each branch
+	// log-free: no log force anywhere, one read-only commit per shard.
+	r, _ := db.Begin()
+	for _, obj := range []wal.ObjectID{90, 91} {
+		if _, err := r.Read(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	d := db.Metrics().Sub(m)
+	for _, name := range []string{"shard.0.core.readonly_commits", "shard.1.core.readonly_commits"} {
+		if got := d.Counter(name); got != 1 {
+			t.Fatalf("%s delta = %d, want 1", name, got)
+		}
+	}
+	if got := d.Counter("core.readonly_commits"); got != 2 {
+		t.Fatalf("aggregated core.readonly_commits delta = %d, want 2", got)
+	}
+	if got := d.Counter("wal.flushes"); got != 0 {
+		t.Fatalf("read-only global commit: wal.flushes delta = %d, want 0", got)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // transaction writes on becomes the coordinator — the shard whose log
 // will carry the commit decision; it is fixed from that first write
 // on, so cross-shard delegation records always name the actual
-// decision log.  Read-only branches never vote.  A Txn is not safe
+// decision log.  Read-only branches never prepare.  A Txn is not safe
 // for concurrent use by multiple goroutines; distinct Txn values are.
 type Txn struct {
 	db  *DB
@@ -26,7 +26,8 @@ type Txn struct {
 	// responsibility acquired by delegation), with writeOrder recording
 	// the order shards first gained it — writeOrder[0] is the commit
 	// coordinator, stable from the transaction's first write.  Read-only
-	// branches skip the prepare force and simply abort.
+	// branches skip the prepare and commit through the engine's log-free
+	// read-only path.
 	local      map[uint32]wal.TxID
 	order      []uint32
 	wrote      map[uint32]bool
@@ -229,8 +230,18 @@ func (t *Txn) Delegate(to *Txn, obj wal.ObjectID) error {
 //
 // A transaction that touched one shard (or wrote on at most one)
 // commits through that engine's ordinary commit path — group commit,
-// early lock release and all — with no two-phase overhead; read-only
-// locks on other shards are simply released.
+// early lock release and all — with no two-phase overhead.
+//
+// Read-only branches are committed first, each through its engine's
+// Commit: a branch that logged nothing and formed no dependency commits
+// with only an end record and no force, so a read-only transaction over
+// any number of shards forces no log.  A branch that read a pre-durable
+// value under early lock release holds an abort dependency and forces
+// its commit record, so Commit cannot acknowledge a dirty read.  If a
+// read-only branch fails to commit (its shard crashed, or that forced
+// commit was rolled back with ErrCommitAborted), every branch not yet
+// committed is aborted — presumed abort, nothing has prepared yet — and
+// the error is returned with the transaction terminated.
 //
 // A transaction that wrote on several shards runs two-phase commit on
 // the participants' own logs, coordinated by the first shard it wrote
@@ -273,15 +284,26 @@ func (t *Txn) Commit() error {
 		return nil
 	}
 
-	// Release read-only branches first: they hold no undoable work, so
-	// presumed abort already describes them — no vote, no force.  What
-	// remains are the writers, in first-write order; the first of them
-	// coordinates (its log carries the decision).
-	for _, s := range t.order {
-		if !t.wrote[s] {
-			if err := t.db.engs[s].Abort(t.local[s]); err != nil {
-				return err
+	// Commit read-only branches first: they hold no undoable work, so
+	// they need no vote, and unless one read a pre-durable value no
+	// force.  What remains are the writers, in first-write order; the
+	// first of them coordinates (its log carries the decision).
+	for i, s := range t.order {
+		if t.wrote[s] {
+			continue
+		}
+		if err := t.db.engs[s].Commit(t.local[s]); err != nil {
+			// Abort every branch not yet committed: this one (a no-op
+			// if its rollback already ran), every later one, and the
+			// writers.
+			var rest []uint32
+			for j, r := range t.order {
+				if j >= i || t.wrote[r] {
+					rest = append(rest, r)
+				}
 			}
+			t.abortBranches(nil, rest)
+			return err
 		}
 	}
 	writers := t.writeOrder
@@ -363,8 +385,9 @@ func (t *Txn) Commit() error {
 	return nil
 }
 
-// abortBranches rolls back a failed phase 1: AbortPrepared on every
-// shard in preparedShards, plain Abort on the still-active branches in
+// abortBranches rolls back a failed phase 1 (or a failed read-only
+// branch commit before it): AbortPrepared on every shard in
+// preparedShards, plain Abort on the still-active branches in
 // activeShards.  Only legal while no decision can be durable (the
 // coordinator never appended its commit record).  Best-effort — the
 // error that triggered the abort is what the caller reports; a branch
@@ -378,7 +401,9 @@ func (t *Txn) abortBranches(preparedShards, activeShards []uint32) {
 		t.db.engs[s].Abort(t.local[s])
 	}
 	t.done = true
-	t.db.met.crossAborts.Inc()
+	if len(t.order) > 1 {
+		t.db.met.crossAborts.Inc()
+	}
 }
 
 // Abort rolls back every branch on every shard the transaction

@@ -138,7 +138,7 @@ type shardOp struct {
 // genTxn is the generator's view of one open global transaction.
 type genTxn struct {
 	idx    int
-	locked []wal.ObjectID       // lock-acquisition order, for deterministic picks
+	locked []wal.ObjectID        // lock-acquisition order, for deterministic picks
 	resp   map[wal.ObjectID]bool // objects with undoable updates (delegable)
 }
 

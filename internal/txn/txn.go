@@ -58,6 +58,10 @@ type Info struct {
 	// LastLSN is the head of the transaction's backward chain: the LSN
 	// of the most recent log record written on its behalf.
 	LastLSN wal.LSN
+	// BeginLSN is the LSN of the transaction's begin record, set when
+	// it begins in normal processing (NilLSN for entries rebuilt by
+	// recovery).  LastLSN == BeginLSN means it has logged nothing since.
+	BeginLSN wal.LSN
 	// UndoNextLSN is the next record to undo during rollback (advanced
 	// past already-compensated records by CLRs).
 	UndoNextLSN wal.LSN
