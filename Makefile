@@ -71,14 +71,17 @@ perfbench-test:
 race:
 	$(GO) test -race -short ./internal/core ./internal/wal ./internal/repl ./internal/sim ./internal/shard ./internal/torture
 
-# Full fault-injection pass under the race detector: the complete crash
-# sweep at fixed seeds (no -short boundary cap), the replication
-# promote-under-crash sweep (crash the primary at every sync boundary,
-# promote a live replica, judge against the durable-log oracle), the
-# early-lock-release sweep (crash a contended concurrent workload
-# between lock release and commit-record flush at every boundary), the
-# scope audit, and the transient/persistent fault paths.  Budgeted for
-# the nightly CI job; a laptop run takes on the order of a minute.
+# Full fault-injection pass under the race detector, every sweep uncapped
+# at its pinned seeds (no -short boundary cap).  All six crash sweeps run
+# on one driver: the core sweep (both seeds, over the engine matrix:
+# group commit off, group commit on, group commit on + early lock
+# release), reads during parallel recovery (both seeds), replication
+# promote-under-crash, rotation/archive, early lock release (both seeds),
+# and the 3-shard cross-shard sweep (both seeds, over the same matrix,
+# its early-lock-release row also recovering in parallel).  Then the
+# driver's own test, the scope audit, the transient/persistent fault
+# paths, and the fault package.  Budgeted for the nightly CI job; a
+# laptop run takes on the order of a minute.
 torture:
 	$(GO) test -race -count=1 -timeout 20m ./internal/torture ./internal/fault
 

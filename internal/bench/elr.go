@@ -27,7 +27,7 @@ type e12Row struct {
 // acquisition order, so the workload is deadlock-free) and commits
 // through the group flusher, whose sync costs syncDelay.
 func runE12Cell(committers, txnsPer, updatesPer, hotObjects int, syncDelay time.Duration, elr bool) (e12Row, error) {
-	store := newSyncDelayDir(syncDelay)
+	store := delayedDir(syncDelay)
 	eng, err := core.New(core.Options{
 		PoolSize:         4096,
 		LogDir:           store,

@@ -30,7 +30,7 @@ type e11Row struct {
 // in-process pipe for the whole run, and measures the replication-lag
 // series alongside commit throughput.
 func runE11Cell(committers, txnsPer, updatesPer int, syncDelay time.Duration, mode core.GroupCommitMode) (e11Row, error) {
-	store := newSyncDelayDir(syncDelay)
+	store := delayedDir(syncDelay)
 	eng, err := core.New(core.Options{PoolSize: 4096, LogDir: store, GroupCommit: mode})
 	if err != nil {
 		return e11Row{}, err

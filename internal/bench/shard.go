@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ariesrh/internal/core"
+	"ariesrh/internal/fault"
 	"ariesrh/internal/shard"
 	"ariesrh/internal/wal"
 )
@@ -28,7 +29,7 @@ type e15Row struct {
 }
 
 // runE15Cell runs committers goroutines against a fresh sharded
-// database whose per-shard logs each sit on their own syncDelayDir.
+// database whose per-shard logs each sit on their own delayedDir.
 // In local mode every transaction writes updatesPer objects homed on
 // one shard (the worker's, round-robin) and commits through the
 // single-shard fast path; in cross mode each transaction alternates
@@ -40,9 +41,9 @@ type e15Row struct {
 // independent force channels.
 func runE15Cell(shards, committers, txnsPer, updatesPer int, syncDelay time.Duration, cross bool) (e15Row, error) {
 	dirs := make([]wal.Dir, shards)
-	delays := make([]*syncDelayDir, shards)
+	delays := make([]*fault.Dir, shards)
 	for i := range dirs {
-		delays[i] = newSyncDelayDir(syncDelay)
+		delays[i] = delayedDir(syncDelay)
 		dirs[i] = delays[i]
 	}
 	db, err := shard.Open(shard.Options{
@@ -58,7 +59,7 @@ func runE15Cell(shards, committers, txnsPer, updatesPer int, syncDelay time.Dura
 	defer db.Close()
 	var syncs0 uint64
 	for _, d := range delays {
-		syncs0 += d.syncs.Load()
+		syncs0 += d.Syncs()
 	}
 	val := []byte("sharded-commit-payload-0123456789")
 
@@ -109,7 +110,7 @@ func runE15Cell(shards, committers, txnsPer, updatesPer int, syncDelay time.Dura
 
 	var syncs uint64
 	for _, d := range delays {
-		syncs += d.syncs.Load()
+		syncs += d.Syncs()
 	}
 	mode := "local"
 	if cross {

@@ -1,6 +1,23 @@
+// Package fault provides deterministic fault injection for the log
+// device: Dir is a wal.Dir whose devices are held in memory as dual
+// images.
+//
+// Every device keeps a working image (everything written) and a stable
+// image (the contents as of its last successful Sync).  A simulated
+// crash (Dir.CrashNow) rewinds every device to its stable image,
+// optionally extended by a seeded torn prefix of the unsynced tail —
+// exactly the set of states a real disk can present after power loss,
+// given that the WAL appends sequentially and syncs in prefix order.
+//
+// Faults are described by a Plan and are fully deterministic: the same
+// plan and the same workload produce the same injected errors, the same
+// crash image and the same torn-tail length.  Schedules are enumerable —
+// a probe run counts the sync boundaries of a workload, then one run
+// per boundary crashes at each (see internal/torture).
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -9,6 +26,68 @@ import (
 
 	"ariesrh/internal/wal"
 )
+
+// ErrCrashPoint is the error injected once a crash schedule triggers:
+// the directory is frozen (no further bytes can become stable) and every
+// subsequent Sync fails with it until CrashNow materializes the crash.
+// It wraps wal.ErrNoRetry — retrying a crash is pointless, and skipping
+// the backoff keeps enumerated crash sweeps fast.
+var ErrCrashPoint = fmt.Errorf("fault: injected crash point (%w)", wal.ErrNoRetry)
+
+// ErrInjectedSync is the transient sync failure injected by
+// TransientSyncErrors / FailEveryNthSync plans.  It does not wrap
+// wal.ErrNoRetry: the WAL's bounded-backoff retry is expected to absorb
+// it.
+var ErrInjectedSync = errors.New("fault: injected transient sync failure")
+
+// ErrDeviceFailed is the persistent device failure injected while
+// FailAllSyncs is armed.  Deliberately not marked wal.ErrNoRetry: a
+// real dying device looks transient until the retry budget is spent, so
+// this exercises the full retry-then-degrade path.
+var ErrDeviceFailed = errors.New("fault: injected persistent device failure")
+
+// Plan describes the fault schedule of a Dir.  The zero Plan injects
+// nothing: the directory then only tracks the stable/working split,
+// which is itself useful (StableDir exposes exactly what a crash would
+// preserve).
+type Plan struct {
+	// Seed drives every random choice the injector makes (currently
+	// the torn-tail length).  Runs with equal seeds and workloads are
+	// byte-identical.
+	Seed int64
+
+	// CrashAtSync freezes the directory immediately after the Nth Sync
+	// call (1-based, counting every attempt on every device): the
+	// stable images are pinned at that boundary and later Syncs fail
+	// with ErrCrashPoint.  0 disables the schedule.
+	CrashAtSync uint64
+
+	// TornTail, when set, makes CrashNow persist a seeded-length
+	// prefix of the unsynced appended tail instead of dropping it
+	// whole — the torn-write case a real disk can produce.
+	TornTail bool
+
+	// TransientSyncErrors makes the first N Sync calls fail with
+	// ErrInjectedSync before the directory starts behaving.
+	TransientSyncErrors int
+
+	// FailEveryNthSync makes every Nth Sync attempt (1-based, counting
+	// every attempt including retries) fail once with ErrInjectedSync.
+	// With a retry budget ≥ 1 and N ≥ 2 every episode is absorbed.
+	FailEveryNthSync uint64
+
+	// FailAllSyncs makes every Sync fail with ErrDeviceFailed until
+	// disarmed with SetFailAllSyncs(false).
+	FailAllSyncs bool
+
+	// SyncDelay and DelayEveryNthSync inject latency: every Nth Sync
+	// sleeps SyncDelay before returning.  Either zero disables.  With
+	// DelayEveryNthSync 1 the directory is a modelled device whose
+	// every sync costs SyncDelay.  The sleep holds no lock, so it
+	// delays only its caller.
+	SyncDelay         time.Duration
+	DelayEveryNthSync uint64
+}
 
 // Dir is a fault-injecting wal.Dir: a directory of dual-image devices
 // sharing ONE fault schedule.  The segmented WAL spreads its syncs over
@@ -19,8 +98,8 @@ import (
 // against the same Plan, so CrashAtSync=N freezes the whole directory
 // at the Nth sync boundary of the run, whichever device it lands on.
 //
-// Model per device: as fault.Store (working image, stable image
-// snapshotted on successful Sync, torn-tail only for pure appends).
+// Model per device: a working image, a stable image advanced by each
+// successful Sync, and a torn tail only for pure appends (see CrashNow).
 // Namespace model: Remove is durable immediately while the directory is
 // healthy; once the crash schedule fires (frozen), Remove fails with
 // ErrCrashPoint — files cannot disappear after the crash point — and
@@ -263,9 +342,15 @@ func (f *dirFile) WriteAt(p []byte, off int64) (int, error) {
 	}
 	end := off + int64(len(p))
 	if end > int64(len(f.working)) {
-		grown := make([]byte, end)
-		copy(grown, f.working)
-		f.working = grown
+		if end > int64(cap(f.working)) {
+			// Grow geometrically, as wal.MemStore does: an exact-size
+			// copy on every growing write makes appends quadratic.
+			grown := make([]byte, end, max(2*cap(f.working), int(end)))
+			copy(grown, f.working)
+			f.working = grown
+		} else {
+			f.working = f.working[:end]
+		}
 	}
 	copy(f.working[off:], p)
 	return len(p), nil
@@ -293,40 +378,52 @@ func (f *dirFile) Truncate(size int64) error {
 }
 
 // Sync runs the directory's shared fault schedule; on success this
-// device's working image becomes its stable image.
+// device's working image becomes its stable image.  A scheduled delay
+// is slept after the outcome is decided and outside the directory's
+// lock: the sync numbering stays the order of the calls, and a slow
+// sync never blocks the other devices' reads and writes.
 func (f *dirFile) Sync() error {
+	delay, err := f.sync()
+	time.Sleep(delay)
+	return err
+}
+
+func (f *dirFile) sync() (delay time.Duration, err error) {
 	d := f.d
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.syncs++
 	n := d.syncs
-	if d.plan.DelayEveryNthSync > 0 && d.plan.SyncDelay > 0 && n%d.plan.DelayEveryNthSync == 0 {
-		time.Sleep(d.plan.SyncDelay)
+	if d.plan.DelayEveryNthSync > 0 && n%d.plan.DelayEveryNthSync == 0 {
+		delay = d.plan.SyncDelay
 	}
-	if d.frozen {
+	switch {
+	case d.frozen:
 		d.injected++
-		return ErrCrashPoint
-	}
-	if d.plan.FailAllSyncs {
+		return delay, ErrCrashPoint
+	case d.plan.FailAllSyncs:
 		d.injected++
-		return ErrDeviceFailed
-	}
-	if d.transientLeft > 0 {
+		return delay, ErrDeviceFailed
+	case d.transientLeft > 0:
 		d.transientLeft--
 		d.injected++
-		return ErrInjectedSync
-	}
-	if d.plan.FailEveryNthSync > 0 && n%d.plan.FailEveryNthSync == 0 {
+		return delay, ErrInjectedSync
+	case d.plan.FailEveryNthSync > 0 && n%d.plan.FailEveryNthSync == 0:
 		d.injected++
-		return ErrInjectedSync
+		return delay, ErrInjectedSync
 	}
-	f.stable = append(f.stable[:0], f.working...)
+	if f.overwrote {
+		f.stable = append(f.stable[:0], f.working...)
+	} else {
+		// A pure append since the last sync: only the new tail moves.
+		f.stable = append(f.stable, f.working[len(f.stable):]...)
+	}
 	f.stableExists = true
 	f.overwrote = false
 	if d.plan.CrashAtSync > 0 && n >= d.plan.CrashAtSync {
 		d.frozen = true
 	}
-	return nil
+	return delay, nil
 }
 
 // Close is a no-op; the Dir owns the images.

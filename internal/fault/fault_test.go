@@ -41,19 +41,41 @@ func snapshotBytes(t *testing.T, d *wal.MemDir) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		size, err := dev.Size()
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, size)
-		if size > 0 {
-			if _, err := dev.ReadAt(buf, 0); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out[name] = string(buf)
+		out[name] = deviceBytes(t, dev)
 	}
 	return out
+}
+
+func openDevice(t *testing.T, d *Dir, name string) wal.Store {
+	t.Helper()
+	dev, err := d.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dev
+}
+
+func writeAt(t *testing.T, dev wal.Store, s string, off int64) {
+	t.Helper()
+	if _, err := dev.WriteAt([]byte(s), off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// deviceBytes returns a device's whole current image.
+func deviceBytes(t *testing.T, dev wal.Store) string {
+	t.Helper()
+	size, err := dev.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	if size > 0 {
+		if _, err := dev.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return string(buf)
 }
 
 // Opening a fresh log costs two syncs (segment-1 header, manifest gen 1);
@@ -103,21 +125,44 @@ func TestDirStableImageSemantics(t *testing.T) {
 }
 
 // TestUnsyncedWriteLostWithoutSync makes the volatile window explicit:
-// bytes written to the store but never covered by a successful Sync are
-// gone after CrashNow.
+// bytes written to a device but never covered by a successful Sync are
+// gone after CrashNow, while the synced prefix survives.
 func TestUnsyncedWriteLostWithoutSync(t *testing.T) {
-	s, err := NewStore(wal.NewMemStore(), Plan{})
-	if err != nil {
+	d := NewDir(Plan{})
+	dev := openDevice(t, d, "dev")
+	writeAt(t, dev, "durable", 0)
+	if err := dev.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteAt([]byte("never synced"), 0); err != nil {
+	writeAt(t, dev, " never synced", 7)
+	if _, err := d.CrashNow(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CrashNow(); err != nil {
+	if got := deviceBytes(t, dev); got != "durable" {
+		t.Fatalf("device holds %q after crash, want only the synced %q", got, "durable")
+	}
+}
+
+// TestOverwriteSurvivesSync covers Sync's full-copy path: once a write
+// lands inside the stable image, the next Sync must make the whole
+// working image stable, overwritten bytes included, not just the tail.
+func TestOverwriteSurvivesSync(t *testing.T) {
+	d := NewDir(Plan{TornTail: true})
+	dev := openDevice(t, d, "dev")
+	writeAt(t, dev, "aaaaaaaa", 0)
+	if err := dev.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.Size(); n != 0 {
-		t.Fatalf("device holds %d bytes after crash, want 0 (nothing was synced)", n)
+	writeAt(t, dev, "XY", 3)
+	writeAt(t, dev, "tail", 8)
+	if err := dev.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.CrashNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := deviceBytes(t, dev), "aaaXYaaatail"; got != want {
+		t.Fatalf("device holds %q after crash, want %q", got, want)
 	}
 }
 
@@ -265,34 +310,32 @@ func TestDirTornTailReopenStopsCleanly(t *testing.T) {
 // TestTransientAndPersistentSyncModes covers the error-injection plan
 // knobs the engine's retry/degrade logic is built against.
 func TestTransientAndPersistentSyncModes(t *testing.T) {
-	s, err := NewStore(wal.NewMemStore(), Plan{TransientSyncErrors: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Sync(); !errors.Is(err, ErrInjectedSync) {
+	d := NewDir(Plan{TransientSyncErrors: 2})
+	dev := openDevice(t, d, "dev")
+	if err := dev.Sync(); !errors.Is(err, ErrInjectedSync) {
 		t.Fatalf("sync 1 = %v, want transient failure", err)
 	}
-	if errors.Is(s.Sync(), nil) {
+	if dev.Sync() == nil {
 		t.Fatal("sync 2 should still fail")
 	}
-	if err := s.Sync(); err != nil {
+	if err := dev.Sync(); err != nil {
 		t.Fatalf("sync 3 = %v, want success after transient budget", err)
 	}
-	if got := s.InjectedErrors(); got != 2 {
+	if got := d.InjectedErrors(); got != 2 {
 		t.Fatalf("InjectedErrors = %d, want 2", got)
 	}
 
-	s.SetFailAllSyncs(true)
+	d.SetFailAllSyncs(true)
 	for i := 0; i < 3; i++ {
-		if err := s.Sync(); !errors.Is(err, ErrDeviceFailed) {
+		if err := dev.Sync(); !errors.Is(err, ErrDeviceFailed) {
 			t.Fatalf("persistent sync %d = %v, want ErrDeviceFailed", i, err)
 		}
 	}
 	if errors.Is(ErrDeviceFailed, wal.ErrNoRetry) {
 		t.Fatal("persistent failures must look retriable so the retry-then-degrade path is exercised")
 	}
-	s.SetFailAllSyncs(false)
-	if err := s.Sync(); err != nil {
+	d.SetFailAllSyncs(false)
+	if err := dev.Sync(); err != nil {
 		t.Fatalf("sync after healing = %v", err)
 	}
 }
@@ -300,15 +343,13 @@ func TestTransientAndPersistentSyncModes(t *testing.T) {
 // TestFailEveryNthSync checks the periodic transient mode is absorbed
 // by a single retry (attempt n fails, attempt n+1 is off-period).
 func TestFailEveryNthSync(t *testing.T) {
-	s, err := NewStore(wal.NewMemStore(), Plan{FailEveryNthSync: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := NewDir(Plan{FailEveryNthSync: 3})
+	dev := openDevice(t, d, "dev")
 	var failures int
 	for i := 0; i < 9; i++ {
-		if err := s.Sync(); err != nil {
+		if err := dev.Sync(); err != nil {
 			failures++
-			if err2 := s.Sync(); err2 != nil {
+			if err2 := dev.Sync(); err2 != nil {
 				t.Fatalf("sync immediately after periodic failure also failed: %v", err2)
 			}
 		}

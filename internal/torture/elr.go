@@ -1,6 +1,6 @@
 // ELR torture: the crash-between-release-and-flush sweep.
 //
-// Early lock release opens a window the serial sweep in torture.go cannot
+// Early lock release opens a window the core sweep in torture.go cannot
 // reach: a committer has appended its commit record and released its
 // write locks, but the record is not yet durable.  Other transactions
 // acquire those locks inside the window, form commit dependencies, and
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -147,155 +146,70 @@ func elrBenign(err error) bool {
 }
 
 // ELRRun executes the early-lock-release crash sweep and returns the
-// aggregated result.  A probe run (no crash schedule) counts the sync
-// boundaries of the workload; the workload is then re-run once per
-// boundary k with the device frozen after sync k, and each post-crash
-// image is judged by the log oracle plus the dependency invariant.
+// aggregated result.  Every device sync sleeps cfg.SyncDelay, in the
+// probe as at every boundary, and each post-crash image is judged by the
+// log oracle plus the dependency invariant.
 func ELRRun(cfg ELRConfig) (ELRResult, error) {
 	cfg = cfg.withDefaults()
-
-	probe := fault.NewDir(fault.Plan{
-		Seed:              cfg.Seed,
-		SyncDelay:         cfg.SyncDelay,
-		DelayEveryNthSync: 1,
-	})
-	eng, err := newELRTortureEngine(probe)
-	if err != nil {
-		return ELRResult{}, err
+	spec := sweepSpec{
+		name:      "elr ",
+		seed:      cfg.Seed,
+		plan:      fault.Plan{SyncDelay: cfg.SyncDelay, DelayEveryNthSync: 1},
+		tornEvery: cfg.TornEvery,
+		max:       cfg.MaxBoundaries,
 	}
-	if err := cfg.workload(eng); err != nil {
-		return ELRResult{}, fmt.Errorf("torture: elr probe: %w", err)
-	}
-	boundaries := int(probe.Syncs())
-
-	res := ELRResult{Boundaries: boundaries}
-	sweep := boundaries
-	if cfg.MaxBoundaries > 0 && sweep > cfg.MaxBoundaries {
-		sweep = cfg.MaxBoundaries
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k := 1; k <= sweep; k++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b, err := cfg.runELRBoundary(uint64(k))
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("torture: elr seed %d boundary %d: %w", cfg.Seed, k, err)
-				}
-				return
-			}
-			res.Crashes++
-			res.Fired += b.fired
-			res.TornCrashes += b.torn
-			res.Violations += b.violations
-			res.Winners += b.winners
-			res.Losers += b.losers
-			res.Records += b.records
-		}(k)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
+	var res ELRResult
+	_, c, err := runSweep(spec, func() *elrTrial { return &elrTrial{cfg: cfg} },
+		func(t *elrTrial) {
+			res.Violations += t.res.Violations
+			res.Winners += t.res.Winners
+			res.Losers += t.res.Losers
+			res.Records += t.res.Records
+		})
+	res.Boundaries, res.Crashes, res.Fired, res.TornCrashes = c.points, c.crashes, c.fired, c.torn
+	return res, err
 }
 
-func newELRTortureEngine(dir wal.Dir) (*core.Engine, error) {
-	return core.New(core.Options{
-		LogDir:           dir,
+// elrTrial is one crash point of the ELR sweep.
+type elrTrial struct {
+	cfg ELRConfig
+	eng *core.Engine
+	// edges are the commit-dependency edges the run formed.  The hook
+	// runs under the engine latch, so the slice needs its own lock only
+	// against the judge's read.
+	edgeMu sync.Mutex
+	edges  []violationEdge
+	res    ELRResult
+}
+
+func (t *elrTrial) open(dirs []wal.Dir) (err error) {
+	t.eng, err = core.New(core.Options{
+		LogDir:           dirs[0],
 		GroupCommit:      core.GroupCommitOn,
 		EarlyLockRelease: true,
 		PoolSize:         64,
 	})
+	return err
 }
 
-type elrBoundaryStats struct {
-	fired      int
-	torn       int
-	violations int
-	winners    int
-	losers     int
-	records    int
-}
-
-// runELRBoundary runs the concurrent workload against a device that
-// freezes after sync k, crashes, recovers, and judges the outcome.
-func (cfg ELRConfig) runELRBoundary(k uint64) (elrBoundaryStats, error) {
-	var bs elrBoundaryStats
-	plan := fault.Plan{
-		Seed:              cfg.Seed ^ int64(k*0x9E3779B97F4A7C15),
-		CrashAtSync:       k,
-		TornTail:          cfg.TornEvery > 0 && k%uint64(cfg.TornEvery) == 0,
-		SyncDelay:         cfg.SyncDelay,
-		DelayEveryNthSync: 1,
-	}
-	store := fault.NewDir(plan)
-	eng, err := newELRTortureEngine(store)
-	if err != nil {
-		if !isCrashSignal(err) {
-			return bs, err
-		}
-		// The boundary fired inside log initialization — no engine, no
-		// workload.  Settle it as a crash over the partial bootstrap.
-		torn, err := initCrashRecovery(store, func() (*core.Engine, error) {
-			return newELRTortureEngine(store)
-		})
-		if err != nil {
-			return bs, err
-		}
-		bs.fired = 1
-		if torn {
-			bs.torn = 1
-		}
-		return bs, nil
-	}
-
-	// Capture every commit-dependency edge the run forms.  The hook runs
-	// under the engine latch, so the slice needs its own lock only against
-	// the final read below.
-	var (
-		edgeMu sync.Mutex
-		edges  []violationEdge
-	)
-	eng.SetEventHook(func(ev obs.Event) {
+func (t *elrTrial) run() error {
+	t.eng.SetEventHook(func(ev obs.Event) {
 		if ev.Name == "elr.violate" {
-			edgeMu.Lock()
-			edges = append(edges, violationEdge{dep: wal.TxID(ev.Tx), pred: wal.TxID(ev.Value)})
-			edgeMu.Unlock()
+			t.edgeMu.Lock()
+			t.edges = append(t.edges, violationEdge{dep: wal.TxID(ev.Tx), pred: wal.TxID(ev.Value)})
+			t.edgeMu.Unlock()
 		}
 	})
-	if err := cfg.workload(eng); err != nil {
-		return bs, err
-	}
-	eng.SetEventHook(nil)
-	if store.Frozen() {
-		bs.fired = 1
-	}
+	defer t.eng.SetEventHook(nil)
+	return t.cfg.workload(t.eng)
+}
 
-	// Materialize the crash and judge from the durable image.
-	tornBytes, err := store.CrashNow()
-	if err != nil {
-		return bs, err
-	}
-	if tornBytes > 0 {
-		bs.torn = 1
-	}
-	recs, err := decodeStable(store)
-	if err != nil {
-		return bs, fmt.Errorf("decode durable log: %w", err)
-	}
-	bs.records = len(recs)
+func (t *elrTrial) empty() error {
+	return checkState(t.eng, newLogOracle(), "after init-time crash", t.cfg.Objects, t.cfg.Counters, nil)
+}
+
+func (t *elrTrial) judge(b *boundary) error {
+	recs := b.recs[0]
 	winners := durableWinners(recs)
 
 	// The dependency invariant: a dependent's durable commit implies its
@@ -304,65 +218,26 @@ func (cfg ELRConfig) runELRBoundary(k uint64) (elrBoundaryStats, error) {
 	// flushing a surviving dependent commit record certifies the
 	// predecessor's — any violation here means a dependent survived a
 	// predecessor's lost commit.
-	edgeMu.Lock()
-	bs.violations = len(edges)
+	t.edgeMu.Lock()
+	edges := t.edges
+	t.edgeMu.Unlock()
 	for _, e := range edges {
 		if winners[e.dep] && !winners[e.pred] {
-			edgeMu.Unlock()
-			return bs, fmt.Errorf("dependent %d durable but predecessor %d's commit was lost",
+			return fmt.Errorf("dependent %d durable but predecessor %d's commit was lost",
 				e.dep, e.pred)
 		}
 	}
-	edgeMu.Unlock()
+	t.res = ELRResult{Violations: len(edges), Records: len(recs)}
+	t.res.Winners, t.res.Losers = classify(recs)
 
-	oracle := newLogOracle()
-	for _, rec := range recs {
-		oracle.apply(rec)
+	oracle := replayOracle(recs)
+	if err := t.eng.Crash(); err != nil {
+		return err
 	}
-	oracle.crashUndo()
-	bs.winners = len(winners)
-
-	// Losers: transactions with a durable begin record but no durable
-	// commit.
-	began := make(map[wal.TxID]bool)
-	for _, rec := range recs {
-		if rec.Type == wal.TypeBegin {
-			began[rec.TxID] = true
-		}
+	if _, err := recoverVisits(t.eng, t.eng.Recover, nil); err != nil {
+		return fmt.Errorf("recover: %w", err)
 	}
-	bs.losers = len(began) - len(winners)
-
-	// Crash, recover, and require oracle agreement on every object and
-	// counter.
-	if err := eng.Crash(); err != nil {
-		return bs, err
-	}
-	if err := eng.Recover(); err != nil {
-		return bs, fmt.Errorf("recover: %w", err)
-	}
-	for obj := 1; obj <= cfg.Objects; obj++ {
-		id := wal.ObjectID(obj)
-		want := oracle.values[id]
-		got, _, err := eng.ReadObject(id)
-		if err != nil {
-			return bs, err
-		}
-		if string(got) != string(want) {
-			return bs, fmt.Errorf("object %d: engine %q, oracle %q (winners %v)",
-				obj, got, want, winners)
-		}
-	}
-	for c := cfg.Objects + 1; c <= cfg.Objects+cfg.Counters; c++ {
-		id := wal.ObjectID(c)
-		got, err := eng.CounterValue(id)
-		if err != nil {
-			return bs, err
-		}
-		if want := oracle.counters[id]; got != want {
-			return bs, fmt.Errorf("counter %d: engine %d, oracle %d", c, got, want)
-		}
-	}
-	return bs, nil
+	return checkState(t.eng, oracle, "after recovery", t.cfg.Objects, t.cfg.Counters, nil)
 }
 
 // workload drives cfg.Workers concurrent committers over the hot object

@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"net"
-	"runtime"
-	"sync"
 	"time"
 
 	"ariesrh/internal/core"
-	"ariesrh/internal/fault"
-	"ariesrh/internal/obs"
 	"ariesrh/internal/repl"
 	"ariesrh/internal/sim"
 	"ariesrh/internal/wal"
@@ -52,141 +48,83 @@ type ReplResult struct {
 // must be a (possibly strict) prefix of the primary's post-crash device
 // image, and the promoted object state must equal the log oracle's
 // verdict over that prefix.  The backward pass must hold the same
-// invariants as crash recovery — every record visited at most once, in
-// strictly decreasing LSN order.
+// invariant as crash recovery: one strictly decreasing sweep.
+// Replication never touches the primary's device, so the crash points
+// are those of Run.
 func ReplRun(cfg Config) (ReplResult, error) {
 	cfg = cfg.withDefaults()
 	trace := sim.Generate(cfg.simConfig())
-
-	// Probe: replication never touches the primary's device, so the sync
-	// boundaries are the same pure function of the trace as in Run.
-	probe := fault.NewDir(fault.Plan{})
-	eng, err := core.New(core.Options{
-		LogDir:      probe,
-		GroupCommit: core.GroupCommitOff,
-		PoolSize:    cfg.PoolSize,
-	})
-	if err != nil {
-		return ReplResult{}, err
-	}
-	if err := sim.NewReplayer(sim.CoreTarget{Engine: eng}, trace).RunTo(-1); err != nil {
-		return ReplResult{}, fmt.Errorf("torture: repl probe replay: %w", err)
-	}
-	boundaries := int(probe.Syncs())
-
-	res := ReplResult{Boundaries: boundaries}
-	sweep := boundaries
-	if cfg.MaxBoundaries > 0 && sweep > cfg.MaxBoundaries {
-		sweep = cfg.MaxBoundaries
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k := 1; k <= sweep; k++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b, err := cfg.runReplBoundary(trace, uint64(k))
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("torture: repl seed %d boundary %d: %w", cfg.Seed, k, err)
-				}
-				return
-			}
-			res.Promotions++
-			res.TornCrashes += b.torn
-			res.UnshippedRecords += b.unshipped
-			res.Winners += b.winners
-			res.Losers += b.losers
-			res.Records += b.records
-			res.UndoVisits += b.undoVisits
-		}(k)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
-}
-
-type replBoundaryStats struct {
-	torn       int
-	unshipped  int
-	winners    int
-	losers     int
-	records    int
-	undoVisits int
-}
-
-// runReplBoundary runs one primary+replica pair with the primary's device
-// frozen after sync k, crashes the primary, promotes the replica and
-// judges the promoted state.
-func (cfg Config) runReplBoundary(trace []sim.Action, k uint64) (replBoundaryStats, error) {
-	var bs replBoundaryStats
-	plan := fault.Plan{
-		Seed:        cfg.Seed ^ int64(uint64(k)*0x9E3779B97F4A7C15),
-		CrashAtSync: k,
-		TornTail:    cfg.TornEvery > 0 && k%uint64(cfg.TornEvery) == 0,
-	}
-	store := fault.NewDir(plan)
-	mkPrimary := func() (*core.Engine, error) {
-		return core.New(core.Options{
-			LogDir:      store,
-			GroupCommit: core.GroupCommitOff,
-			PoolSize:    cfg.PoolSize,
+	var res ReplResult
+	_, c, err := runSweep(sweepSpec{name: "repl ", seed: cfg.Seed, tornEvery: cfg.TornEvery, max: cfg.MaxBoundaries},
+		func() *replTrial { return &replTrial{cfg: cfg, trace: trace} },
+		func(t *replTrial) {
+			res.UnshippedRecords += t.res.UnshippedRecords
+			res.Winners += t.res.Winners
+			res.Losers += t.res.Losers
+			res.Records += t.res.Records
+			res.UndoVisits += t.res.UndoVisits
 		})
-	}
-	primary, err := mkPrimary()
+	res.Boundaries, res.Promotions, res.TornCrashes = c.points, c.crashes, c.torn
+	return res, err
+}
+
+// replTrial is one crash point of the replication sweep: a primary
+// replaying the trace while a live replica follows it.
+type replTrial struct {
+	cfg      Config
+	trace    []sim.Action
+	primary  *core.Engine
+	follower *core.Engine
+	txns     int // transactions the replay began
+	res      ReplResult
+}
+
+func (t *replTrial) open(dirs []wal.Dir) (err error) {
+	t.primary, err = core.New(core.Options{
+		LogDir:      dirs[0],
+		GroupCommit: core.GroupCommitOff,
+		PoolSize:    t.cfg.PoolSize,
+	})
+	return err
+}
+
+func (t *replTrial) empty() error {
+	return checkState(t.primary, newLogOracle(), "after init-time crash", t.cfg.Objects, t.cfg.Counters, nil)
+}
+
+// run replays the trace while the stream ships live, then drains the
+// replica and severs the stream: the primary is lost.
+func (t *replTrial) run() error {
+	feed, err := repl.NewPrimary(t.primary)
 	if err != nil {
-		if !isCrashSignal(err) {
-			return bs, err
-		}
-		// The boundary fired inside log initialization: the primary never
-		// came up, nothing was ever shipped, and there is no replica to
-		// promote.  Settle it as a crash over the partial bootstrap.
-		torn, err := initCrashRecovery(store, mkPrimary)
-		if err != nil {
-			return bs, err
-		}
-		if torn {
-			bs.torn = 1
-		}
-		return bs, nil
+		return err
 	}
-	feed, err := repl.NewPrimary(primary)
+	defer feed.Close()
+	t.follower, err = core.New(core.Options{Follower: true, PoolSize: t.cfg.PoolSize})
 	if err != nil {
-		return bs, err
+		return err
 	}
-	follower, err := core.New(core.Options{Follower: true, PoolSize: cfg.PoolSize})
+	rep, err := repl.NewReplica(t.follower)
 	if err != nil {
-		return bs, err
-	}
-	rep, err := repl.NewReplica(follower)
-	if err != nil {
-		return bs, err
+		return err
 	}
 	c1, c2 := net.Pipe()
 	serveDone := make(chan error, 1)
 	followDone := make(chan error, 1)
 	go func() { serveDone <- feed.Serve(c1) }()
 	go func() { followDone <- rep.Follow(c2) }()
+	defer func() {
+		c2.Close()
+		<-serveDone
+		<-followDone
+	}()
 
-	// Replay until the crash schedule surfaces (or the trace ends, for
-	// the boundary at the last sync) while the stream ships live.
-	r := sim.NewReplayer(sim.CoreTarget{Engine: primary}, trace)
+	r := sim.NewReplayer(sim.CoreTarget{Engine: t.primary}, t.trace)
 	for {
 		ok, err := r.Step()
 		if err != nil {
 			if !isCrashSignal(err) {
-				return bs, fmt.Errorf("unexpected replay error: %w", err)
+				return fmt.Errorf("unexpected replay error: %w", err)
 			}
 			break
 		}
@@ -194,133 +132,83 @@ func (cfg Config) runReplBoundary(trace []sim.Action, k uint64) (replBoundarySta
 			break
 		}
 	}
+	t.txns = len(r.IDs())
 
 	// Drain: everything the primary flushed must reach the replica.  The
 	// flushed horizon is final here — the device is frozen (or the trace
 	// is over), so no further record can become shippable.
-	target := primary.Log().FlushedLSN()
+	target := t.primary.Log().FlushedLSN()
 	deadline := time.Now().Add(30 * time.Second)
-	for follower.ReplayedLSN() < target {
+	for t.follower.ReplayedLSN() < target {
 		if time.Now().After(deadline) {
-			return bs, fmt.Errorf("replica stuck at %d, want %d", follower.ReplayedLSN(), target)
+			return fmt.Errorf("replica stuck at %d, want %d", t.follower.ReplayedLSN(), target)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+	return nil
+}
 
-	// The primary is lost: sever the stream, materialize the crash.
-	c2.Close()
-	<-serveDone
-	<-followDone
-	feed.Close()
-	tornBytes, err := store.CrashNow()
-	if err != nil {
-		return bs, err
-	}
-	if tornBytes > 0 {
-		bs.torn = 1
-	}
-	if err := primary.Crash(); err != nil {
-		return bs, err
-	}
-
+func (t *replTrial) judge(b *boundary) error {
 	// The replica's durable log must be a prefix of the primary's
 	// post-crash device image: only flushed records ship, and flushed
 	// records are exactly the stable (pre-torn-tail) image.
-	primaryRecs, err := decodeStable(store)
-	if err != nil {
-		return bs, fmt.Errorf("decode primary durable log: %w", err)
-	}
+	primaryRecs := b.recs[0]
 	var replicaRecs []*wal.Record
-	follower.Log().ResetReadCursor()
-	err = follower.Log().Scan(1, wal.NilLSN, func(rec *wal.Record) (bool, error) {
+	t.follower.Log().ResetReadCursor()
+	err := t.follower.Log().Scan(1, wal.NilLSN, func(rec *wal.Record) (bool, error) {
 		replicaRecs = append(replicaRecs, rec)
 		return true, nil
 	})
 	if err != nil {
-		return bs, err
+		return err
 	}
 	if len(replicaRecs) > len(primaryRecs) {
-		return bs, fmt.Errorf("replica has %d records, primary device only %d",
+		return fmt.Errorf("replica has %d records, primary device only %d",
 			len(replicaRecs), len(primaryRecs))
 	}
 	for i, rec := range replicaRecs {
-		want, err := wal.EncodeRecord(primaryRecs[i])
-		if err != nil {
-			return bs, err
-		}
-		got, err := wal.EncodeRecord(rec)
-		if err != nil {
-			return bs, err
-		}
-		if !bytes.Equal(got, want) {
-			return bs, fmt.Errorf("replica record %d (LSN %d) diverges from primary image", i, rec.LSN)
+		if err := sameRecord(rec, primaryRecs[i]); err != nil {
+			return fmt.Errorf("replica record %d diverges from primary image: %w", i, err)
 		}
 	}
-	bs.records = len(replicaRecs)
-	bs.unshipped = len(primaryRecs) - len(replicaRecs)
 
 	// Expected state: the oracle over the REPLICA's durable log.  Records
 	// in the primary's torn tail were never flushed, never shipped, and
 	// must not influence the promoted state.
-	oracle := newLogOracle()
-	for _, rec := range replicaRecs {
-		oracle.apply(rec)
-	}
-	oracle.crashUndo()
+	oracle := replayOracle(replicaRecs)
 	winners := durableWinners(replicaRecs)
-	bs.winners = len(winners)
-	bs.losers = len(r.IDs()) - len(winners)
-
-	// Promote, capturing the undo visit stream.
-	var visits []wal.LSN
-	follower.SetEventHook(func(ev obs.Event) {
-		if ev.Name == "undo.visit" {
-			visits = append(visits, wal.LSN(ev.LSN))
+	t.res = ReplResult{
+		UnshippedRecords: len(primaryRecs) - len(replicaRecs),
+		Winners:          len(winners),
+		Losers:           t.txns - len(winners),
+		Records:          len(replicaRecs),
+	}
+	visits, err := recoverVisits(t.follower, func() error {
+		if err := t.follower.Promote(); err != nil {
+			return fmt.Errorf("promote: %w", err)
 		}
-	})
-	err = follower.Promote()
-	follower.SetEventHook(nil)
+		return nil
+	}, nil)
 	if err != nil {
-		return bs, fmt.Errorf("promote: %w", err)
+		return err
 	}
-	bs.undoVisits = len(visits)
+	t.res.UndoVisits = visits
+	return checkState(t.follower, oracle, "after promotion", t.cfg.Objects, t.cfg.Counters, nil)
+}
 
-	// Promotion's backward pass is the recovery backward pass: one
-	// monotone sweep, strictly decreasing LSNs, no record visited twice.
-	seen := make(map[wal.LSN]bool, len(visits))
-	for i, lsn := range visits {
-		if seen[lsn] {
-			return bs, fmt.Errorf("promotion undo visited LSN %d twice", lsn)
-		}
-		seen[lsn] = true
-		if i > 0 && lsn >= visits[i-1] {
-			return bs, fmt.Errorf("promotion undo visits not strictly decreasing: %d then %d", visits[i-1], lsn)
-		}
+// sameRecord reports an error unless got encodes byte-identically to
+// want.
+func sameRecord(got, want *wal.Record) error {
+	g, err := wal.EncodeRecord(got)
+	if err != nil {
+		return err
 	}
-
-	// State check: the promoted engine must agree with the oracle on
-	// every object and every counter.
-	for obj := 1; obj <= cfg.Objects; obj++ {
-		id := wal.ObjectID(obj)
-		want := oracle.values[id]
-		got, _, err := follower.ReadObject(id)
-		if err != nil {
-			return bs, err
-		}
-		if string(got) != string(want) {
-			return bs, fmt.Errorf("object %d: promoted %q, oracle %q (winners %v)",
-				obj, got, want, winners)
-		}
+	w, err := wal.EncodeRecord(want)
+	if err != nil {
+		return err
 	}
-	for c := cfg.Objects + 1; c <= cfg.Objects+cfg.Counters; c++ {
-		id := wal.ObjectID(c)
-		got, err := follower.CounterValue(id)
-		if err != nil {
-			return bs, err
-		}
-		if want := oracle.counters[id]; got != want {
-			return bs, fmt.Errorf("counter %d: promoted %d, oracle %d", c, got, want)
-		}
+	if !bytes.Equal(g, w) {
+		return fmt.Errorf("record at LSN %d differs", got.LSN)
 	}
-	return bs, nil
+	return nil
 }

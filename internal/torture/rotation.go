@@ -1,7 +1,7 @@
 // Rotation/archive torture: crash-at-every-sync during segment rotation
 // and log archiving.
 //
-// The serial sweep in torture.go runs with the default segment cap and
+// The core sweep in torture.go runs with the default segment cap and
 // never archives, so its crash schedule only ever lands on frame-flush
 // syncs.  The segmented log has two more maintenance paths with their own
 // device mutations: rotation (a fresh segment image created and its
@@ -27,14 +27,10 @@
 package torture
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"ariesrh/internal/core"
-	"ariesrh/internal/fault"
 	"ariesrh/internal/wal"
 )
 
@@ -179,9 +175,10 @@ func (cfg RotationConfig) workload(eng *core.Engine, doArchive bool) error {
 }
 
 // RotationRun executes the rotation/archive crash sweep.  A capture run
-// (fault-free, archiving disabled) records the full record sequence; a
-// probe run (fault-free, archiving on) counts the sync boundaries and
-// proves rotation and archive really fire; then every boundary is swept.
+// (fault-free, archiving disabled) records the full record sequence; the
+// driver's probe (fault-free, archiving on) counts the sync boundaries
+// and proves rotation and archive really fire; then every boundary is
+// swept.
 func RotationRun(cfg RotationConfig) (RotationResult, error) {
 	cfg = cfg.withDefaults()
 
@@ -203,193 +200,84 @@ func RotationRun(cfg RotationConfig) (RotationResult, error) {
 		fullRecs[lsn-1] = rec
 	}
 
-	// Probe: count the sync boundaries of the real (archiving) workload.
-	probe := fault.NewDir(fault.Plan{})
-	probeEng, err := cfg.newEngine(probe)
-	if err != nil {
-		return RotationResult{}, err
-	}
-	if err := cfg.workload(probeEng, true); err != nil {
-		return RotationResult{}, fmt.Errorf("torture: rotation probe: %w", err)
-	}
-	stats := probeEng.Log().Stats()
-	res := RotationResult{
-		Boundaries:   int(probe.Syncs()),
-		Rotations:    stats.Rotations,
-		Archives:     stats.Archives,
-		ArchivedBase: probeEng.Log().Base(),
-	}
-
-	sweep := res.Boundaries
-	if cfg.MaxBoundaries > 0 && sweep > cfg.MaxBoundaries {
-		sweep = cfg.MaxBoundaries
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k := 1; k <= sweep; k++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b, err := cfg.runRotationBoundary(fullRecs, uint64(k))
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("torture: rotation seed %d boundary %d: %w", cfg.Seed, k, err)
-				}
-				return
-			}
-			res.Crashes++
-			res.TornCrashes += b.torn
-			res.Winners += b.winners
-			res.Losers += b.losers
-			res.Records += b.records
-		}(k)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
-}
-
-type rotationBoundaryStats struct {
-	torn    int
-	winners int
-	losers  int
-	records int
-}
-
-// runRotationBoundary runs the archiving workload against a device frozen
-// after sync k, crashes, and judges the durable image against the capture
-// sequence: every surviving record byte-identical to the capture at its
-// LSN, recovered state equal to the oracle over the capture prefix up to
-// the durable head.
-func (cfg RotationConfig) runRotationBoundary(fullRecs []*wal.Record, k uint64) (rotationBoundaryStats, error) {
-	var bs rotationBoundaryStats
-	plan := fault.Plan{
-		Seed:        cfg.Seed ^ int64(k*0x9E3779B97F4A7C15),
-		CrashAtSync: k,
-		TornTail:    cfg.TornEvery > 0 && k%uint64(cfg.TornEvery) == 0,
-	}
-	store := fault.NewDir(plan)
-	eng, err := cfg.newEngine(store)
-	if err != nil {
-		if !isCrashSignal(err) {
-			return bs, err
-		}
-		// The boundary fired inside log initialization — settle it as a
-		// crash over the partial bootstrap.
-		torn, err := initCrashRecovery(store, func() (*core.Engine, error) {
-			return cfg.newEngine(store)
+	var res RotationResult
+	probe, c, err := runSweep(sweepSpec{name: "rotation ", seed: cfg.Seed, tornEvery: cfg.TornEvery, max: cfg.MaxBoundaries},
+		func() *rotationTrial { return &rotationTrial{cfg: cfg, full: fullRecs} },
+		func(t *rotationTrial) {
+			res.Winners += t.res.Winners
+			res.Losers += t.res.Losers
+			res.Records += t.res.Records
 		})
-		if err != nil {
-			return bs, err
-		}
-		if torn {
-			bs.torn = 1
-		}
-		return bs, nil
+	res.Boundaries, res.Crashes, res.TornCrashes = c.points, c.crashes, c.torn
+	if probe.eng != nil {
+		stats := probe.eng.Log().Stats()
+		res.Rotations, res.Archives = stats.Rotations, stats.Archives
+		res.ArchivedBase = probe.eng.Log().Base()
 	}
-	if err := cfg.workload(eng, true); err != nil && !isCrashSignal(err) {
-		return bs, fmt.Errorf("unexpected workload error: %w", err)
-	}
+	return res, err
+}
 
-	// Materialize the crash and judge from the durable image.
-	tornBytes, err := store.CrashNow()
-	if err != nil {
-		return bs, err
+// rotationTrial is one crash point of the rotation/archive sweep.
+type rotationTrial struct {
+	cfg  RotationConfig
+	full []*wal.Record // the capture run's record sequence
+	eng  *core.Engine
+	res  RotationResult
+}
+
+func (t *rotationTrial) open(dirs []wal.Dir) (err error) {
+	t.eng, err = t.cfg.newEngine(dirs[0])
+	return err
+}
+
+func (t *rotationTrial) run() error {
+	if err := t.cfg.workload(t.eng, true); err != nil && !isCrashSignal(err) {
+		return fmt.Errorf("unexpected workload error: %w", err)
 	}
-	if tornBytes > 0 {
-		bs.torn = 1
-	}
-	base, recs, err := wal.ReadDurable(store.StableDir())
-	if err != nil {
-		return bs, fmt.Errorf("decode durable log: %w", err)
-	}
-	bs.records = len(recs)
+	return nil
+}
+
+func (t *rotationTrial) empty() error {
+	return checkState(t.eng, newLogOracle(), "after init-time crash", t.cfg.Objects, t.cfg.Counters, nil)
+}
+
+// judge checks the durable image against the capture sequence — every
+// surviving record byte-identical to the capture at its LSN — and the
+// recovered state against the oracle over the capture prefix up to the
+// durable head.
+func (t *rotationTrial) judge(b *boundary) error {
+	base, recs := b.base[0], b.recs[0]
 
 	// Retained-record identity: archive commits a manifest and deletes
 	// whole files; it must never rewrite a surviving record, so every
 	// durable record equals the capture at its LSN.
 	durableHead := base
 	for _, rec := range recs {
-		if rec.LSN < 1 || int(rec.LSN) > len(fullRecs) {
-			return bs, fmt.Errorf("durable record at LSN %d outside the captured trace (len %d)", rec.LSN, len(fullRecs))
+		if rec.LSN < 1 || int(rec.LSN) > len(t.full) {
+			return fmt.Errorf("durable record at LSN %d outside the captured trace (len %d)", rec.LSN, len(t.full))
 		}
-		want, err := wal.EncodeRecord(fullRecs[rec.LSN-1])
-		if err != nil {
-			return bs, err
+		if err := sameRecord(rec, t.full[rec.LSN-1]); err != nil {
+			return fmt.Errorf("durable record diverges from the capture: %w", err)
 		}
-		got, err := wal.EncodeRecord(rec)
-		if err != nil {
-			return bs, err
-		}
-		if !bytes.Equal(got, want) {
-			return bs, fmt.Errorf("durable record at LSN %d diverges from the capture", rec.LSN)
-		}
-		if rec.LSN > durableHead {
-			durableHead = rec.LSN
-		}
+		durableHead = max(durableHead, rec.LSN)
 	}
-	if int(durableHead) > len(fullRecs) {
-		return bs, fmt.Errorf("durable head %d beyond captured trace (len %d)", durableHead, len(fullRecs))
+	if int(durableHead) > len(t.full) {
+		return fmt.Errorf("durable head %d beyond captured trace (len %d)", durableHead, len(t.full))
 	}
 
 	// Expected state: the oracle over the capture prefix — the archived
 	// records plus the surviving suffix — then undo the losers.
-	prefix := fullRecs[:durableHead]
-	oracle := newLogOracle()
-	for _, rec := range prefix {
-		oracle.apply(rec)
-	}
-	oracle.crashUndo()
-	winners := durableWinners(prefix)
-	began := make(map[wal.TxID]bool)
-	for _, rec := range prefix {
-		if rec.Type == wal.TypeBegin {
-			began[rec.TxID] = true
-		}
-	}
-	bs.winners = len(winners)
-	bs.losers = len(began) - len(winners)
+	prefix := t.full[:durableHead]
+	oracle := replayOracle(prefix)
+	t.res = RotationResult{Records: len(recs)}
+	t.res.Winners, t.res.Losers = classify(prefix)
 
-	// Crash, recover, and require oracle agreement on every object and
-	// counter.
-	if err := eng.Crash(); err != nil {
-		return bs, err
+	if err := t.eng.Crash(); err != nil {
+		return err
 	}
-	if err := eng.Recover(); err != nil {
-		return bs, fmt.Errorf("recover: %w", err)
+	if _, err := recoverVisits(t.eng, t.eng.Recover, nil); err != nil {
+		return fmt.Errorf("recover: %w", err)
 	}
-	for obj := 1; obj <= cfg.Objects; obj++ {
-		id := wal.ObjectID(obj)
-		want := oracle.values[id]
-		got, _, err := eng.ReadObject(id)
-		if err != nil {
-			return bs, err
-		}
-		if string(got) != string(want) {
-			return bs, fmt.Errorf("object %d: engine %q, oracle %q (base %d, head %d)",
-				obj, got, want, base, durableHead)
-		}
-	}
-	for c := cfg.Objects + 1; c <= cfg.Objects+cfg.Counters; c++ {
-		id := wal.ObjectID(c)
-		got, err := eng.CounterValue(id)
-		if err != nil {
-			return bs, err
-		}
-		if want := oracle.counters[id]; got != want {
-			return bs, fmt.Errorf("counter %d: engine %d, oracle %d", c, got, want)
-		}
-	}
-	return bs, nil
+	return checkState(t.eng, oracle, fmt.Sprintf("after recovery (base %d, head %d)", base, durableHead),
+		t.cfg.Objects, t.cfg.Counters, nil)
 }

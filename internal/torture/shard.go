@@ -25,11 +25,8 @@ package torture
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"ariesrh/internal/core"
-	"ariesrh/internal/fault"
 	"ariesrh/internal/shard"
 	"ariesrh/internal/wal"
 )
@@ -328,216 +325,97 @@ func durableDecisions(perShard [][]*wal.Record) (map[uint64]bool, error) {
 	return committed, nil
 }
 
-// RunShards executes the cross-shard crash sweep for cfg.  Boundaries
-// are independent (each gets a fresh cluster and devices) and are
-// swept concurrently; the first failure aborts the sweep.
+// RunShards executes the cross-shard crash sweep for cfg with group
+// commit off: every prepare, decision and single-shard commit forces
+// exactly one sync on its shard, so each shard's crash points are a pure
+// function of the trace and the router.
 func RunShards(cfg ShardConfig) (ShardResult, error) {
+	return cfg.sweep(core.Options{GroupCommit: core.GroupCommitOff})
+}
+
+// sweep runs the cross-shard sweep on clusters whose shards take
+// opts' GroupCommit, EarlyLockRelease and ParallelRecovery.  Each crash
+// point freezes one shard's device after its sync k and crashes the
+// whole cluster there.
+func (cfg ShardConfig) sweep(opts core.Options) (ShardResult, error) {
 	cfg = cfg.withDefaults()
 	trace := genShardTrace(cfg)
-
-	// Probe: count each shard's sync boundaries.  With group commit off
-	// every prepare, decision and single-shard commit forces exactly one
-	// sync on its shard, so each shard's count — and with it every crash
-	// point — is a pure function of the trace and the router.
-	probeDirs := make([]wal.Dir, cfg.Shards)
-	probeFDs := make([]*fault.Dir, cfg.Shards)
-	for i := range probeDirs {
-		probeFDs[i] = fault.NewDir(fault.Plan{})
-		probeDirs[i] = probeFDs[i]
-	}
-	db, err := cfg.openCluster(probeDirs)
-	if err != nil {
-		return ShardResult{}, fmt.Errorf("torture: shard probe open: %w", err)
-	}
-	if err := replayShardTrace(db, trace); err != nil {
-		return ShardResult{}, fmt.Errorf("torture: shard probe replay: %w", err)
-	}
-	syncs := make([]uint64, cfg.Shards)
-	for i, fd := range probeFDs {
-		syncs[i] = fd.Syncs()
-	}
-	db.Close()
-
-	// Enumerate (shard, k) crash points boundary-first, so a capped
-	// sweep still exercises every shard's early boundaries.
-	type point struct {
-		shard int
-		k     uint64
-	}
-	var pts []point
-	var maxK uint64
-	for _, n := range syncs {
-		if n > maxK {
-			maxK = n
-		}
-	}
-	for k := uint64(1); k <= maxK; k++ {
-		for s := 0; s < cfg.Shards; s++ {
-			if k <= syncs[s] {
-				pts = append(pts, point{shard: s, k: k})
-			}
-		}
-	}
-	res := ShardResult{Boundaries: len(pts)}
-	sweep := pts
-	if cfg.MaxBoundaries > 0 && len(sweep) > cfg.MaxBoundaries {
-		sweep = sweep[:cfg.MaxBoundaries]
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for _, p := range sweep {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p point) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b, err := cfg.runShardBoundary(trace, p.shard, p.k)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("torture: seed %d shard %d boundary %d: %w",
-						cfg.Seed, p.shard, p.k, err)
-				}
-				return
-			}
-			res.Crashes++
-			res.TornCrashes += b.torn
-			res.GlobalCommits += b.commits
-			res.Resolved += b.resolved
-			res.Records += b.records
-		}(p)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
+	spec := sweepSpec{seed: cfg.Seed, devices: cfg.Shards, tornEvery: cfg.TornEvery, max: cfg.MaxBoundaries}
+	var res ShardResult
+	_, c, err := runSweep(spec, func() *shardTrial { return &shardTrial{cfg: cfg, opts: opts, trace: trace} },
+		func(t *shardTrial) {
+			res.GlobalCommits += t.res.GlobalCommits
+			res.Resolved += t.res.Resolved
+			res.Records += t.res.Records
+		})
+	res.Boundaries, res.Crashes, res.TornCrashes = c.points, c.crashes, c.torn
+	return res, err
 }
 
-// openCluster opens a shard.DB over the given per-shard log devices
-// with the sweep's deterministic mod router and group commit off.
-func (cfg ShardConfig) openCluster(dirs []wal.Dir) (*shard.DB, error) {
-	return shard.Open(shard.Options{
-		Shards:      cfg.Shards,
-		LogDirs:     dirs,
-		PoolSize:    cfg.PoolSize,
-		GroupCommit: core.GroupCommitOff,
-		Router:      shardModRouter{},
+// shardTrial is one crash point of the cross-shard sweep.
+type shardTrial struct {
+	cfg   ShardConfig
+	opts  core.Options
+	trace []shardOp
+	db    *shard.DB
+	res   ShardResult
+}
+
+// open opens a shard.DB over the per-shard log devices with the sweep's
+// deterministic mod router.
+func (t *shardTrial) open(dirs []wal.Dir) (err error) {
+	t.db, err = shard.Open(shard.Options{
+		Shards:           t.cfg.Shards,
+		LogDirs:          dirs,
+		PoolSize:         t.cfg.PoolSize,
+		GroupCommit:      t.opts.GroupCommit,
+		EarlyLockRelease: t.opts.EarlyLockRelease,
+		ParallelRecovery: t.opts.ParallelRecovery,
+		Router:           shardModRouter{},
 	})
+	return err
 }
 
-type shardBoundaryStats struct {
-	torn     int
-	commits  int
-	resolved int
-	records  int
+func (t *shardTrial) run() error { return replayShardTrace(t.db, t.trace) }
+
+func (t *shardTrial) empty() error {
+	defer t.db.Close()
+	return t.check(make([]*logOracle, t.cfg.Shards), "after init-time crash")
 }
 
-// runShardBoundary replays trace against a cluster whose shard s
-// freezes after its sync k, crashes the whole cluster at that point,
-// recovers, and checks every shard against the decision-settled log
-// oracle.
-func (cfg ShardConfig) runShardBoundary(trace []shardOp, s int, k uint64) (shardBoundaryStats, error) {
-	var bs shardBoundaryStats
-	dirs := make([]wal.Dir, cfg.Shards)
-	fds := make([]*fault.Dir, cfg.Shards)
-	for i := range dirs {
-		plan := fault.Plan{}
-		if i == s {
-			plan = fault.Plan{
-				Seed:        cfg.Seed ^ int64(uint64(s)<<32) ^ int64(uint64(k)*0x9E3779B97F4A7C15),
-				CrashAtSync: k,
-				TornTail:    cfg.TornEvery > 0 && k%uint64(cfg.TornEvery) == 0,
-			}
+// check requires every shard to agree with its oracle (nil: empty) on
+// every object it is home to.
+func (t *shardTrial) check(oracles []*logOracle, phase string) error {
+	for i, o := range oracles {
+		if o == nil {
+			o = newLogOracle()
 		}
-		fds[i] = fault.NewDir(plan)
-		dirs[i] = fds[i]
+		home := func(id wal.ObjectID) bool { return int(uint64(id)%uint64(t.cfg.Shards)) == i }
+		if err := checkState(t.db.Engine(i), o, fmt.Sprintf("shard %d %s", i, phase), t.cfg.Objects, 0, home); err != nil {
+			return err
+		}
 	}
+	return nil
+}
 
-	db, err := cfg.openCluster(dirs)
-	if err != nil {
-		if !isCrashSignal(err) {
-			return bs, err
-		}
-		// The boundary fired inside shard s's log bootstrap — no
-		// cluster, no workload.  Settle it like any crash: materialize
-		// every device's stable image (only shard s was armed; the
-		// others just lose their unsynced tails), require the partial
-		// bootstrap to decode to zero records, and require a reopened
-		// cluster to come up empty.
-		for _, fd := range fds {
-			if _, err := fd.CrashNow(); err != nil {
-				return bs, err
-			}
-		}
-		recs, err := decodeStable(fds[s])
-		if err != nil {
-			return bs, fmt.Errorf("decode shard %d after init-time crash: %w", s, err)
-		}
-		if len(recs) != 0 {
-			return bs, fmt.Errorf("init-time crash left %d durable records on shard %d, want 0", len(recs), s)
-		}
-		db, err := cfg.openCluster(dirs)
-		if err != nil {
-			return bs, fmt.Errorf("reopen after init-time crash: %w", err)
-		}
-		defer db.Close()
-		if v, ok, err := db.ReadCommitted(1); err != nil {
-			return bs, err
-		} else if ok {
-			return bs, fmt.Errorf("object 1 = %q after init-time crash, want empty", v)
-		}
-		return bs, nil
+func (t *shardTrial) judge(b *boundary) error {
+	for _, recs := range b.recs {
+		t.res.Records += len(recs)
 	}
-
-	// Replay until shard s's frozen device surfaces through a force (or
-	// the trace ends, for boundaries at or past s's last sync).
-	if err := replayShardTrace(db, trace); err != nil {
-		return bs, err
-	}
-
-	// Materialize the whole-cluster crash: every shard rewinds to its
-	// stable image — shard s at its frozen boundary (plus the plan's
-	// torn tail), the others simply losing unsynced bytes.
-	for i, fd := range fds {
-		tornBytes, err := fd.CrashNow()
-		if err != nil {
-			return bs, err
-		}
-		if i == s && tornBytes > 0 {
-			bs.torn = 1
-		}
-	}
-	perShard := make([][]*wal.Record, cfg.Shards)
-	for i, fd := range fds {
-		recs, err := decodeStable(fd)
-		if err != nil {
-			return bs, fmt.Errorf("decode shard %d durable log: %w", i, err)
-		}
-		perShard[i] = recs
-		bs.records += len(recs)
-	}
-
 	// The protocol's own atomicity rule, applied to the durable bytes:
 	// which global ids are committed, everywhere or nowhere — and no
 	// durable abort may contradict a durable decision.
-	committed, err := durableDecisions(perShard)
+	committed, err := durableDecisions(b.recs)
 	if err != nil {
-		return bs, err
+		return err
 	}
-	bs.commits = len(committed)
+	t.res.GlobalCommits = len(committed)
 
 	// Expected per-shard state: each shard's durable records through the
 	// log oracle, prepared branches settled by the global decisions,
 	// remaining losers undone.
-	oracles := make([]*logOracle, cfg.Shards)
-	for i, recs := range perShard {
+	oracles := make([]*logOracle, t.cfg.Shards)
+	for i, recs := range b.recs {
 		oracles[i] = newLogOracle()
 		for _, rec := range recs {
 			oracles[i].apply(rec)
@@ -545,35 +423,26 @@ func (cfg ShardConfig) runShardBoundary(trace []shardOp, s int, k uint64) (shard
 		oracles[i].settle(committed)
 	}
 
-	// Crash and recover the cluster; Recover resolves every in-doubt
-	// participant from the coordinator's durable decision.
-	if err := db.Crash(); err != nil {
-		return bs, err
+	// Crash and recover the cluster; Recover waits for every shard's
+	// pipeline and resolves every in-doubt participant from the
+	// coordinator's durable decision.
+	if err := t.db.Crash(); err != nil {
+		return err
 	}
-	if err := db.Recover(); err != nil {
-		return bs, fmt.Errorf("recover: %w", err)
+	if err := t.db.Recover(); err != nil {
+		return fmt.Errorf("recover: %w", err)
 	}
-	bs.resolved = int(db.Metrics().Counter("router.indoubt_resolved"))
-	for i := 0; i < cfg.Shards; i++ {
-		if d := db.Engine(i).InDoubt(); len(d) != 0 {
-			return bs, fmt.Errorf("shard %d: %d transactions still in doubt after Recover", i, len(d))
+	t.res.Resolved = int(t.db.Metrics().Counter("router.indoubt_resolved"))
+	for i := 0; i < t.cfg.Shards; i++ {
+		if d := t.db.Engine(i).InDoubt(); len(d) != 0 {
+			return fmt.Errorf("shard %d: %d transactions still in doubt after Recover", i, len(d))
 		}
 	}
 
-	// State check: every shard must agree with its settled oracle on
-	// every object it is home to — this IS the atomicity check, since
-	// the oracles applied one global decision set across all shards.
-	for obj := wal.ObjectID(1); obj <= wal.ObjectID(cfg.Objects); obj++ {
-		home := int(uint64(obj) % uint64(cfg.Shards))
-		want := oracles[home].values[obj]
-		got, _, err := db.Engine(home).ReadObject(obj)
-		if err != nil {
-			return bs, err
-		}
-		if string(got) != string(want) {
-			return bs, fmt.Errorf("object %d (shard %d): engine %q, oracle %q (committed gids %v)",
-				obj, home, got, want, committed)
-		}
+	// State check: this IS the atomicity check, since the oracles
+	// applied one global decision set across all shards.
+	if err := t.check(oracles, "after recovery"); err != nil {
+		return fmt.Errorf("%w (committed gids %v)", err, committed)
 	}
-	return bs, db.Close()
+	return t.db.Close()
 }

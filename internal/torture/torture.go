@@ -1,33 +1,53 @@
 // Package torture is the fault-injection torture harness for crash
-// recovery: it drives delegation-heavy randomized workloads over a
-// fault.Dir log device, crashes the engine at every injected boundary,
-// recovers, and checks the recovered state against the sim oracle plus
-// log-level invariants.
+// recovery: it drives delegation-heavy workloads over fault.Dir log
+// devices, crashes the system at every sync boundary, recovers, and
+// checks the recovered state against an oracle computed from the
+// durable log plus log-level invariants.
 //
-// The central entry point is Run, the crash-point sweep.  One seed fully
-// determines a workload trace AND the set of crash points it is swept
-// over: a probe replay counts the device syncs the trace performs (with
-// group commit off, every commit and abort forces exactly one), then the
-// trace is re-run once per boundary k with a fault.Plan that freezes the
-// device after sync k — on even boundaries additionally persisting a
-// seeded torn prefix of the unsynced tail.  Every boundary is therefore
-// enumerable, reproducible and independently replayable.
+// Every sweep runs on one driver (runSweep in sweep.go).  A fault-free
+// probe runs the workload and counts each device's syncs; every sync is
+// a crash point.  The workload is then re-run once per point k over
+// fresh devices, one of them frozen right after its sync k by a
+// seeded fault.Plan — on every TornEvery-th point additionally
+// persisting a seeded torn prefix of the unsynced tail — so every point
+// is enumerable, reproducible and independently replayable.  Points run
+// concurrently, GOMAXPROCS at a time, and the first failure stops the
+// sweep.  The driver also settles points that fire inside log
+// initialization, before the system is up.  A sweep supplies only a
+// trial: how to open its system over the devices, its workload, and its
+// judge.
 //
-// Correctness at a boundary is judged against the durable log, not
-// against what the replay observed: post-crash state is a function of
-// the bytes on the device alone.  A commit whose ack never returned may
+// Correctness at a point is judged against the durable log, not against
+// what the workload observed: post-crash state is a function of the
+// bytes on the device alone.  A commit whose ack never returned may
 // still be durable (its record landed in the torn tail) and is then a
 // winner — the classic commit-ack ambiguity — while an abort that ran
 // to completion in memory may have left no durable CLRs and so never
-// happened.  The harness therefore decodes the post-crash device image
-// and replays the record sequence through an independent record-level
-// oracle (responsibility moved by delegate records, extinguished by
-// commit records and CLRs, losers undone in reverse LSN order), and
-// requires the recovered engine to agree with it on every object and
-// counter.  The sim package's trace-level oracle judges the no-crash
-// modes (TransientRun), where volatile execution and durable log agree.
+// happened.  The driver decodes the post-crash images; judges replay
+// the record sequence through an independent record-level oracle
+// (responsibility moved by delegate records, extinguished by commit
+// records and CLRs, losers undone in reverse LSN order) and require the
+// recovered system to agree with it on every object and counter, with
+// the backward pass one strictly decreasing sweep.
 //
-// Two further modes complement the sweep: ScopeAudit replays a trace
+// The sweeps and what each judge adds:
+//   - Run: the sim trace on one engine.
+//   - RunReadsDuringRecovery: the same on the parallel recovery
+//     schedule, with readers checking every object mid-recovery.
+//   - ReplRun: the primary crashes mid-stream and a live replica is
+//     promoted; the replica's log must be a prefix of the primary's.
+//   - RotationRun: tiny segments and periodic archiving; every
+//     surviving record must equal a fault-free capture.
+//   - ELRRun: a concurrent early-lock-release workload; no dependent
+//     may survive its predecessor's lost commit.
+//   - RunShards: a 3-shard cluster, every shard crashed at every sync;
+//     two-phase outcomes follow the durable decisions.
+//
+// Run and RunShards fix group commit off, which makes every crash point
+// a pure function of the seed; the tests also sweep them with group
+// commit on, and with early lock release, through the same driver.
+//
+// Two further modes complement the sweeps: ScopeAudit replays a trace
 // while re-deriving every live transaction's Op_List from the raw
 // durable log bytes after each action (checking the engine's scope
 // bookkeeping against a second, scope-free formulation), and
@@ -39,13 +59,10 @@ package torture
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 
 	"ariesrh/internal/core"
-	"ariesrh/internal/fault"
-	"ariesrh/internal/obs"
 	"ariesrh/internal/sim"
 	"ariesrh/internal/wal"
 )
@@ -152,53 +169,15 @@ type Result struct {
 	UndoVisits      int
 }
 
-// isCrashSignal reports whether a replay error is the expected face of an
-// armed crash schedule: the frozen device surfacing through a commit
-// force, or the engine having already moved to degraded mode because an
-// abort absorbed the device error.
-func isCrashSignal(err error) bool {
-	return errors.Is(err, fault.ErrCrashPoint) || errors.Is(err, core.ErrDegraded)
-}
-
-// decodeStable decodes a post-crash directory image into its durable
-// record sequence via wal.ReadDurable: manifest selection, per-segment
-// frames, stopping cleanly at the torn tail — exactly as recovery's
-// analysis scan does.
-func decodeStable(dir *fault.Dir) ([]*wal.Record, error) {
-	_, recs, err := wal.ReadDurable(dir.StableDir())
-	return recs, err
-}
-
-// initCrashRecovery settles a boundary that fired inside log
-// initialization: the segmented log takes its own syncs to come up (the
-// first segment header, then manifest generation 1), so the earliest
-// boundaries freeze the device before the engine ever exists.  The
-// crash contract is the same as at any other point — the durable image
-// (a partial bootstrap: possibly a segment header with no manifest)
-// must decode to zero records, and a fresh engine opened over it must
-// come up empty.  Reports whether a torn tail was persisted.
-func initCrashRecovery(store *fault.Dir, open func() (*core.Engine, error)) (bool, error) {
-	tornBytes, err := store.CrashNow()
-	if err != nil {
-		return false, err
+// replayOracle returns the oracle's expected post-crash state for a
+// single log: the durable records applied, then every loser undone.
+func replayOracle(recs []*wal.Record) *logOracle {
+	o := newLogOracle()
+	for _, rec := range recs {
+		o.apply(rec)
 	}
-	recs, err := decodeStable(store)
-	if err != nil {
-		return false, fmt.Errorf("decode durable log after init-time crash: %w", err)
-	}
-	if len(recs) != 0 {
-		return false, fmt.Errorf("init-time crash left %d durable records, want 0", len(recs))
-	}
-	eng, err := open()
-	if err != nil {
-		return false, fmt.Errorf("reopen after init-time crash: %w", err)
-	}
-	if got, _, err := eng.ReadObject(1); err != nil {
-		return false, err
-	} else if len(got) != 0 {
-		return false, fmt.Errorf("object 1 = %q after init-time crash, want empty", got)
-	}
-	return tornBytes > 0, nil
+	o.crashUndo()
+	return o
 }
 
 // durableWinners returns the transactions with a durable commit record —
@@ -212,6 +191,19 @@ func durableWinners(recs []*wal.Record) map[wal.TxID]bool {
 		}
 	}
 	return winners
+}
+
+// classify counts the transactions a durable record sequence began
+// that won (a durable commit record) and lost (none).
+func classify(recs []*wal.Record) (winners, losers int) {
+	began := 0
+	for _, rec := range recs {
+		if rec.Type == wal.TypeBegin {
+			began++
+		}
+	}
+	winners = len(durableWinners(recs))
+	return winners, began - winners
 }
 
 // logOp is one undoable durable record still attributable to a live
@@ -354,226 +346,140 @@ func (o *logOracle) crashUndo() {
 	o.live = make(map[wal.TxID]map[wal.ObjectID]map[wal.LSN]*logOp)
 }
 
-// Run executes the crash-point sweep for cfg and returns the aggregated
-// result.  Boundaries are independent (each gets a fresh engine and
-// device) and are swept concurrently; the first failure aborts the sweep.
+// Run executes the crash-point sweep for cfg with group commit off and
+// the sequential recovery schedule, and returns the aggregated result.
 func Run(cfg Config) (Result, error) {
+	return cfg.sweep(core.Options{GroupCommit: core.GroupCommitOff})
+}
+
+// RunReadsDuringRecovery executes the crash-point sweep with the engine's
+// parallel recovery pipeline (core.Options.ParallelRecovery) and, at
+// every boundary, issues reads of every object and counter WHILE the
+// pipeline is still running — Recover returns with recovery in flight,
+// so the reads race the redo drain and the backward undo sweep.  Each
+// read triggers on-demand redo of its object's chain and waits for the
+// undo of the loser clusters covering it, so it must already return the
+// fully recovered value; the reads are judged by the same durable-log
+// oracle as the sequential sweep, and the post-WaitRecovered state is
+// checked against it a second time.  The undo-visit stream must stay one
+// strictly decreasing sweep — the pipeline changes when redo happens,
+// never the undo order.
+func RunReadsDuringRecovery(cfg Config) (Result, error) {
+	return cfg.sweep(core.Options{GroupCommit: core.GroupCommitOff, ParallelRecovery: true})
+}
+
+// sweep runs the core sweep on engines opened with opts (PoolSize and
+// LogDir are filled in).  With group commit off every commit and abort
+// forces exactly one sync, so the crash points are a pure function of
+// the trace; with opts.ParallelRecovery every point also reads the whole
+// object space mid-recovery.
+func (cfg Config) sweep(opts core.Options) (Result, error) {
 	cfg = cfg.withDefaults()
+	opts.PoolSize = cfg.PoolSize
 	trace := sim.Generate(cfg.simConfig())
-
-	// Probe: count the sync boundaries the trace performs.  With group
-	// commit off every commit/abort forces exactly one device sync (plus
-	// the log-initialization and any rotation syncs), so the count — and
-	// with it every crash point — is a pure function of the trace.
-	probe := fault.NewDir(fault.Plan{})
-	eng, err := core.New(core.Options{
-		LogDir:      probe,
-		GroupCommit: core.GroupCommitOff,
-		PoolSize:    cfg.PoolSize,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	if err := sim.NewReplayer(sim.CoreTarget{Engine: eng}, trace).RunTo(-1); err != nil {
-		return Result{}, fmt.Errorf("torture: probe replay: %w", err)
-	}
-	boundaries := int(probe.Syncs())
-
-	res := Result{Boundaries: boundaries}
-	sweep := boundaries
-	if cfg.MaxBoundaries > 0 && sweep > cfg.MaxBoundaries {
-		sweep = cfg.MaxBoundaries
-	}
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for k := 1; k <= sweep; k++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(k int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			b, err := cfg.runBoundary(trace, uint64(k))
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("torture: seed %d boundary %d: %w", cfg.Seed, k, err)
-				}
-				return
-			}
-			res.Crashes++
-			res.TornCrashes += b.torn
-			res.AmbiguousWins += b.ambiguous
-			res.Winners += b.winners
-			res.Losers += b.losers
-			res.Records += b.records
-			res.UndoVisits += b.undoVisits
-		}(k)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return res, firstErr
-	}
-	return res, nil
-}
-
-type boundaryStats struct {
-	torn       int
-	ambiguous  int
-	winners    int
-	losers     int
-	records    int
-	undoVisits int
-}
-
-// runBoundary replays trace against a device that freezes after sync k,
-// crashes at the frozen boundary, recovers, and checks the recovered
-// state against the oracle and the undo-pass invariants.
-func (cfg Config) runBoundary(trace []sim.Action, k uint64) (boundaryStats, error) {
-	var bs boundaryStats
-	plan := fault.Plan{
-		// Decorrelate the torn-tail length choice across boundaries
-		// while keeping each boundary individually reproducible.
-		Seed:        cfg.Seed ^ int64(uint64(k)*0x9E3779B97F4A7C15),
-		CrashAtSync: k,
-		TornTail:    cfg.TornEvery > 0 && k%uint64(cfg.TornEvery) == 0,
-	}
-	store := fault.NewDir(plan)
-	mk := func() (*core.Engine, error) {
-		return core.New(core.Options{
-			LogDir:      store,
-			GroupCommit: core.GroupCommitOff,
-			PoolSize:    cfg.PoolSize,
+	var res Result
+	_, c, err := runSweep(sweepSpec{seed: cfg.Seed, tornEvery: cfg.TornEvery, max: cfg.MaxBoundaries},
+		func() *coreTrial { return &coreTrial{cfg: cfg, opts: opts, trace: trace} },
+		func(t *coreTrial) {
+			res.AmbiguousWins += t.res.AmbiguousWins
+			res.Winners += t.res.Winners
+			res.Losers += t.res.Losers
+			res.Records += t.res.Records
+			res.UndoVisits += t.res.UndoVisits
 		})
-	}
-	eng, err := mk()
-	if err != nil {
-		if !isCrashSignal(err) {
-			return bs, err
-		}
-		// The boundary fired inside log initialization — no engine, no
-		// workload.  Settle it as a crash over the partial bootstrap.
-		torn, err := initCrashRecovery(store, mk)
-		if err != nil {
-			return bs, err
-		}
-		if torn {
-			bs.torn = 1
-		}
-		return bs, nil
-	}
-	r := sim.NewReplayer(sim.CoreTarget{Engine: eng}, trace)
+	res.Boundaries, res.Crashes, res.TornCrashes = c.points, c.crashes, c.torn
+	return res, err
+}
 
-	// Replay until the crash schedule surfaces (or the trace ends, for
-	// boundaries at or past the last sync).  failedIdx is the index of
-	// the one action that observed the device error, -1 if none did.
-	failedIdx := -1
+// coreTrial is one crash point of the core sweep: the sim trace
+// replayed on one engine.
+type coreTrial struct {
+	cfg   Config
+	opts  core.Options
+	trace []sim.Action
+	eng   *core.Engine
+	r     *sim.Replayer
+	// failed is the index of the action that observed the crash, -1 if
+	// the trace ran out first.
+	failed int
+	res    Result
+}
+
+func (t *coreTrial) open(dirs []wal.Dir) (err error) {
+	opts := t.opts
+	opts.LogDir = dirs[0]
+	t.eng, err = core.New(opts)
+	return err
+}
+
+func (t *coreTrial) run() error {
+	t.r = sim.NewReplayer(sim.CoreTarget{Engine: t.eng}, t.trace)
+	t.failed = -1
 	for {
-		ok, err := r.Step()
+		ok, err := t.r.Step()
 		if err != nil {
 			if !isCrashSignal(err) {
-				return bs, fmt.Errorf("unexpected replay error: %w", err)
+				return fmt.Errorf("unexpected replay error: %w", err)
 			}
-			failedIdx = r.Pos() - 1
-			break
+			t.failed = t.r.Pos() - 1
+			return nil
 		}
 		if !ok {
-			break
+			return nil
 		}
 	}
-	// Materialize the crash: rewind the device to the stable image plus
-	// the plan's torn tail, then judge everything from what is actually
-	// on the device.
-	tornBytes, err := store.CrashNow()
-	if err != nil {
-		return bs, err
-	}
-	if tornBytes > 0 {
-		bs.torn = 1
-	}
-	recs, err := decodeStable(store)
-	if err != nil {
-		return bs, fmt.Errorf("decode durable log: %w", err)
-	}
-	bs.records = len(recs)
+}
+
+func (t *coreTrial) empty() error {
+	return checkState(t.eng, newLogOracle(), "after init-time crash", t.cfg.Objects, t.cfg.Counters, nil)
+}
+
+func (t *coreTrial) judge(b *boundary) error {
+	recs := b.recs[0]
+	oracle := replayOracle(recs)
 	winners := durableWinners(recs)
-
-	// Expected state: replay the durable record sequence through the
-	// log oracle, then undo whatever is still attributable to a loser.
-	oracle := newLogOracle()
-	for _, rec := range recs {
-		oracle.apply(rec)
-	}
-	oracle.crashUndo()
-
-	ids := r.IDs()
-	bs.winners = len(winners)
-	bs.losers = len(ids) - len(winners)
+	ids := t.r.IDs()
+	t.res = Result{Records: len(recs), Winners: len(winners), Losers: len(ids) - len(winners)}
 	// Commit-ack ambiguity: the replay saw this commit FAIL, yet its
 	// record is durable (it landed in the torn tail) — a winner whose
 	// ack was lost to the crash.
-	if failedIdx >= 0 && trace[failedIdx].Kind == sim.ActCommit && winners[ids[trace[failedIdx].Tx]] {
-		bs.ambiguous++
+	if t.failed >= 0 && t.trace[t.failed].Kind == sim.ActCommit && winners[ids[t.trace[t.failed].Tx]] {
+		t.res.AmbiguousWins = 1
 	}
-
-	// Crash and recover, capturing the undo visit stream.
-	if err := eng.Crash(); err != nil {
-		return bs, err
+	if err := t.eng.Crash(); err != nil {
+		return err
 	}
-	var visits []wal.LSN
-	eng.SetEventHook(func(ev obs.Event) {
-		if ev.Name == "undo.visit" {
-			visits = append(visits, wal.LSN(ev.LSN))
+	var during func() error
+	if t.opts.ParallelRecovery {
+		during = func() error { return t.readDuringRecovery(oracle) }
+	}
+	visits, err := recoverVisits(t.eng, func() error {
+		if err := t.eng.Recover(); err != nil {
+			return fmt.Errorf("recover: %w", err)
 		}
-	})
-	err = eng.Recover()
-	eng.SetEventHook(nil)
+		return nil
+	}, during)
 	if err != nil {
-		return bs, fmt.Errorf("recover: %w", err)
+		return err
 	}
-	bs.undoVisits = len(visits)
+	t.res.UndoVisits = visits
+	return checkState(t.eng, oracle, "after recovery", t.cfg.Objects, t.cfg.Counters, nil)
+}
 
-	// Log-level invariants: the backward pass is one monotone sweep —
-	// strictly decreasing LSNs, no record visited twice.
-	seen := make(map[wal.LSN]bool, len(visits))
-	for i, lsn := range visits {
-		if seen[lsn] {
-			return bs, fmt.Errorf("undo visited LSN %d twice", lsn)
-		}
-		seen[lsn] = true
-		if i > 0 && lsn >= visits[i-1] {
-			return bs, fmt.Errorf("undo visits not strictly decreasing: %d then %d", visits[i-1], lsn)
-		}
+// readDuringRecovery races the recovery pipeline: two readers split the
+// object space and check every value against the oracle while redo and
+// undo are (possibly) still in flight.
+func (t *coreTrial) readDuringRecovery(oracle *logOracle) error {
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for part := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[part] = checkState(t.eng, oracle, "mid-recovery", t.cfg.Objects, t.cfg.Counters,
+				func(id wal.ObjectID) bool { return int(id)%2 == part })
+		}()
 	}
-
-	// State check: the recovered engine must agree with the oracle on
-	// every object and every counter.
-	for obj := 1; obj <= cfg.Objects; obj++ {
-		id := wal.ObjectID(obj)
-		want := oracle.values[id]
-		got, _, err := eng.ReadObject(id)
-		if err != nil {
-			return bs, err
-		}
-		if string(got) != string(want) {
-			return bs, fmt.Errorf("object %d: engine %q, oracle %q (winners %v)",
-				obj, got, want, winners)
-		}
-	}
-	for c := cfg.Objects + 1; c <= cfg.Objects+cfg.Counters; c++ {
-		id := wal.ObjectID(c)
-		got, err := eng.CounterValue(id)
-		if err != nil {
-			return bs, err
-		}
-		if want := oracle.counters[id]; got != want {
-			return bs, fmt.Errorf("counter %d: engine %d, oracle %d", c, got, want)
-		}
-	}
-	return bs, nil
+	wg.Wait()
+	return errors.Join(errs...)
 }

@@ -10,52 +10,61 @@ import (
 	"ariesrh/internal/wal"
 )
 
-// TestCrashSweepEnumeratesBoundaries is the headline torture run: the
-// default workload must expose at least 200 distinct crash points, and
-// the engine must recover correctly at every single one — oracle
-// agreement on all objects and counters, undo visits strictly decreasing
-// and unique — with torn tails at every second boundary.
+// TestCrashSweepEnumeratesBoundaries is the headline torture run, over
+// every engine configuration: the default workload must expose at least
+// 200 distinct crash points, and the engine must recover correctly at
+// every single one — oracle agreement on all objects and counters, undo
+// visits strictly decreasing — with torn tails at every second boundary.
 func TestCrashSweepEnumeratesBoundaries(t *testing.T) {
-	cfg := Config{Seed: 1}
-	if testing.Short() {
-		cfg.MaxBoundaries = 40
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("sweep: %+v", res)
-	if res.Boundaries < 200 {
-		t.Errorf("workload exposed %d crash points, want >= 200", res.Boundaries)
-	}
-	want := res.Boundaries
-	if cfg.MaxBoundaries > 0 && want > cfg.MaxBoundaries {
-		want = cfg.MaxBoundaries
-	}
-	if res.Crashes != want {
-		t.Errorf("recovered at %d of %d boundaries", res.Crashes, want)
-	}
-	if res.TornCrashes == 0 {
-		t.Error("no boundary produced a torn tail")
-	}
-	if res.Winners == 0 || res.Losers == 0 {
-		t.Errorf("degenerate classification: %d winners, %d losers", res.Winners, res.Losers)
-	}
-	if res.UndoVisits == 0 {
-		t.Error("no recovery ever visited a record in its backward pass")
+	for _, c := range engineConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{Seed: 1}
+			if testing.Short() {
+				cfg.MaxBoundaries = 40
+			}
+			res, err := cfg.sweep(c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("sweep: %+v", res)
+			if res.Boundaries < 200 {
+				t.Errorf("workload exposed %d crash points, want >= 200", res.Boundaries)
+			}
+			want := res.Boundaries
+			if cfg.MaxBoundaries > 0 && want > cfg.MaxBoundaries {
+				want = cfg.MaxBoundaries
+			}
+			if res.Crashes != want {
+				t.Errorf("recovered at %d of %d boundaries", res.Crashes, want)
+			}
+			if res.TornCrashes == 0 {
+				t.Error("no boundary produced a torn tail")
+			}
+			if res.Winners == 0 || res.Losers == 0 {
+				t.Errorf("degenerate classification: %d winners, %d losers", res.Winners, res.Losers)
+			}
+			if res.UndoVisits == 0 {
+				t.Error("no recovery ever visited a record in its backward pass")
+			}
+		})
 	}
 }
 
 // TestCrashSweepSecondSeed re-runs a smaller sweep under a different
-// seed, guarding against the headline test passing by seed luck.
+// seed, over every engine configuration, guarding against the headline
+// test passing by seed luck.
 func TestCrashSweepSecondSeed(t *testing.T) {
-	res, err := Run(Config{Seed: 2, Steps: 500, MaxBoundaries: 80})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("second-seed sweep: %+v", res)
-	if res.Crashes == 0 || res.Losers == 0 {
-		t.Fatalf("sweep did no useful work: %+v", res)
+	for _, c := range engineConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := Config{Seed: 2, Steps: 500, MaxBoundaries: 80}.sweep(c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("second-seed sweep: %+v", res)
+			if res.Crashes == 0 || res.Losers == 0 {
+				t.Fatalf("sweep did no useful work: %+v", res)
+			}
+		})
 	}
 }
 
@@ -167,25 +176,12 @@ func TestPersistentFailureDegradesMidTrace(t *testing.T) {
 	if h := eng.Health(); h.State != core.StateHealthy {
 		t.Fatalf("Health after restart = %v, want healthy", h.State)
 	}
-	recs, err := decodeStable(store)
+	_, recs, err := wal.ReadDurable(store.StableDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := newLogOracle()
-	for _, rec := range recs {
-		oracle.apply(rec)
-	}
-	oracle.crashUndo()
-	for obj := 1; obj <= cfg.Objects; obj++ {
-		id := wal.ObjectID(obj)
-		want := oracle.values[id]
-		got, _, err := eng.ReadObject(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != string(want) {
-			t.Fatalf("object %d after restart: engine %q, oracle %q", obj, got, want)
-		}
+	if err := checkState(eng, replayOracle(recs), "after restart", cfg.Objects, cfg.Counters, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
