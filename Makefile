@@ -44,7 +44,9 @@ fuzz-short:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 20s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeSegmentHeader -fuzztime 15s
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodePrepare -fuzztime 15s
+	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzDecodeSegmentImage -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeCheckpoint -fuzztime 30s
+	$(GO) test ./internal/delegation -run '^$$' -fuzz FuzzDecodeState -fuzztime 15s
 
 # gofmt -l lists the files whose formatting differs; any output fails.
 fmt:
@@ -75,10 +77,11 @@ race:
 # at its pinned seeds (no -short boundary cap).  All six crash sweeps run
 # on one driver: the core sweep (both seeds, over the engine matrix:
 # group commit off, group commit on, group commit on + early lock
-# release), reads during parallel recovery (both seeds), replication
+# release, and that again recovering in parallel), reads during parallel
+# recovery (both seeds, group commit off and on), replication
 # promote-under-crash, rotation/archive, early lock release (both seeds),
-# and the 3-shard cross-shard sweep (both seeds, over the same matrix,
-# its early-lock-release row also recovering in parallel).  Then the
+# and the 3-shard cross-shard sweep (both seeds, over the same matrix).
+# Then the
 # driver's own test, the scope audit, the transient/persistent fault
 # paths, and the fault package.  Budgeted for the nightly CI job; a
 # laptop run takes on the order of a minute.

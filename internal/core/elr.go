@@ -40,7 +40,8 @@ type pendingCommit struct {
 // commitELR is Commit's early-lock-release tail: entered with the engine
 // latch held, the commit record for tx already appended at lsn, and info
 // current.  It releases tx's locks (marking them violable), waits for
-// the group flush off-latch, and completes or rolls back the commit.
+// the group flush off-latch, and completes or rolls back the commit,
+// returning with the latch held.
 func (e *Engine) commitELR(tx wal.TxID, info *txn.Info, lsn, prevLast wal.LSN, start time.Time) error {
 	// The appended commit record is the commit point: mark Committed
 	// before unlatching so cascading aborts (Active victims only) cannot
@@ -64,7 +65,6 @@ func (e *Engine) commitELR(tx wal.TxID, info *txn.Info, lsn, prevLast wal.LSN, s
 	e.met.elrAckDeferNs.Observe(time.Since(deferStart))
 
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.crashed {
 		// Crash during the wait: the usual commit-ack ambiguity.  The
 		// durable log alone decides the transaction's fate at Recover,
@@ -258,7 +258,7 @@ func (e *Engine) elrFlushFailureLocked() error {
 			scopes = append(scopes, ol.OwnedScopes(v.tx)...)
 		}
 	}
-	if err := e.undoScopes(scopes, undoSweep{}); err != nil {
+	if err := e.rollbackLocked(scopes); err != nil {
 		return err
 	}
 	// Terminate each victim: abort + end records and volatile cleanup.
@@ -266,27 +266,13 @@ func (e *Engine) elrFlushFailureLocked() error {
 	// collected every abort-dependent.
 	hooked := e.reg.HasEventHook()
 	for i, v := range victims {
-		info := e.txns.Get(v.tx)
-		if info == nil {
+		if e.txns.Get(v.tx) == nil {
 			continue
 		}
-		lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: v.tx, PrevLSN: info.LastLSN})
+		lsn, err := e.endAbortLocked(v.tx, false)
 		if err != nil {
 			return err
 		}
-		info.Status = txn.Aborted
-		info.LastLSN = lsn
-		endLSN, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: v.tx, PrevLSN: lsn})
-		if err != nil {
-			return err
-		}
-		info.LastLSN = endLSN
-		e.locks.ReleaseAll(v.tx)
-		delete(e.state, v.tx)
-		delete(e.deps, v.tx)
-		e.txns.Remove(v.tx)
-		e.stats.Aborts++
-		e.met.aborts.Inc()
 		if i < failed {
 			e.met.elrFailedCommits.Inc()
 		} else {

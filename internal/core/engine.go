@@ -311,8 +311,11 @@ type Engine struct {
 	// degraded holds the persistent device error that moved the engine
 	// to read-only degraded mode (nil while healthy).  See ErrDegraded.
 	degraded error
-	stats    Stats
-	opts     Options
+	// undoStopped maps the owners of a live undo sweep that stopped
+	// part-way to the error that stopped it; see rollbackLocked.
+	undoStopped map[wal.TxID]error
+	stats       Stats
+	opts        Options
 
 	// reg is the engine's metric registry; every component (WAL, buffer
 	// pool, lock manager) binds its handles to it.  met caches the
@@ -360,19 +363,20 @@ func New(opts Options) (*Engine, error) {
 	}
 	reg := obs.NewRegistry()
 	e := &Engine{
-		log:        log,
-		disk:       opts.Disk,
-		locks:      lock.NewManager(),
-		txns:       txn.NewTable(),
-		state:      delegation.State{},
-		deps:       make(map[wal.TxID][]depEdge),
-		predurable: make(map[wal.TxID]pendingCommit),
-		prepared:   make(map[wal.TxID]preparedInfo),
-		globals:    make(map[uint64]globalDecision),
-		master:     &masterRecord{store: opts.MasterStore},
-		opts:       opts,
-		reg:        reg,
-		met:        bindEngineMetrics(reg),
+		log:         log,
+		disk:        opts.Disk,
+		locks:       lock.NewManager(),
+		txns:        txn.NewTable(),
+		state:       delegation.State{},
+		deps:        make(map[wal.TxID][]depEdge),
+		predurable:  make(map[wal.TxID]pendingCommit),
+		undoStopped: make(map[wal.TxID]error),
+		prepared:    make(map[wal.TxID]preparedInfo),
+		globals:     make(map[uint64]globalDecision),
+		master:      &masterRecord{store: opts.MasterStore},
+		opts:        opts,
+		reg:         reg,
+		met:         bindEngineMetrics(reg),
 	}
 	e.log.Instrument(reg)
 	e.locks.Instrument(reg)
@@ -700,6 +704,7 @@ func (e *Engine) Crash() error {
 	// if the device is still broken, Recover's final flush fails and the
 	// engine stays crashed instead.
 	e.degraded = nil
+	e.undoStopped = make(map[wal.TxID]error)
 	e.met.degraded.Set(0)
 	return nil
 }

@@ -29,9 +29,18 @@ func shipAll(t *testing.T, p *Engine) []*wal.Record {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	recs, err := sub.Next(0)
+	frames, _, err := sub.Next(0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var recs []*wal.Record
+	for len(frames) > 0 {
+		r, n, err := wal.DecodeRecord(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+		frames = frames[n:]
 	}
 	return recs
 }

@@ -4,12 +4,14 @@ package core
 // recovery in New), promotion (Promote) and follower catch-up all run one
 // pipeline (§3.6):
 //
-//	scan     — one worker per log segment groups the redoable records
-//	           (updates, increments, CLRs) into per-object redo chains.
+//	scan     — workers read and decode the log segments' frames from the
+//	           checkpoint on, a few segments ahead of analysis.
 //	analysis — every scanned record is replayed, strictly in LSN order,
 //	           into the transaction table and the object lists (a
 //	           delegate record rewrites the scopes the records before it
-//	           built), then winners and losers are classified.
+//	           built), the redoable ones (updates, increments, CLRs) are
+//	           grouped into per-object redo chains, then winners and
+//	           losers are classified.
 //	redo     — each chain is applied exactly once: by the drainer
 //	           (longest chain first), by a read of the object, or by the
 //	           undo sweep before it compensates a record of the object (a
@@ -45,6 +47,7 @@ package core
 // e.mu; the finisher takes e.mu and never applyMu.
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -58,14 +61,20 @@ import (
 )
 
 // objectChain is one object's redo work: its redoable records in LSN
-// order.  Applied exactly once (sync.Once) — by the first of the
-// background drainer, an on-demand read, or the undo sweep's
-// redo-before-undo hook.
+// order, kept as frames and decoded only if they are applied.  Applied
+// exactly once (sync.Once) — by the first of the background drainer, an
+// on-demand read, or the undo sweep's redo-before-undo hook.
 type objectChain struct {
 	obj  wal.ObjectID
-	recs []*wal.Record
+	recs []chainRec
 	once sync.Once
 	err  error
+}
+
+// chainRec is one record of a redo chain: its LSN and its frame.
+type chainRec struct {
+	lsn   wal.LSN
+	frame []byte
 }
 
 // undoGate blocks reads of an object covered by loser scopes until the
@@ -166,10 +175,13 @@ func (e *Engine) WaitRecovered() error {
 	return p.err
 }
 
-// scanLocked runs the scan and analysis stages: per-object redo chains
-// from a parallel scan of the log segments from the last checkpoint,
-// then analysis of every scanned record, in LSN order, into the volatile
-// tables.  Redo is left to the chains.  Caller holds e.mu.
+// scanLocked runs the scan and analysis stages, overlapped: workers read
+// and decode the log's frames from the last checkpoint, shard by shard,
+// while analysis replays the decoded records, in LSN order, into the
+// volatile tables and the redo chains.  At most GOMAXPROCS+1 shards are
+// decoded ahead, into slabs analysis hands back, so the decoded records
+// never pile up; the scan's time is the wait for them.
+// Caller holds e.mu.
 func (p *recoveryPipeline) scanLocked() error {
 	e := p.e
 	scanStart, analysisAfter, err := e.locateCheckpointLocked()
@@ -178,59 +190,48 @@ func (p *recoveryPipeline) scanLocked() error {
 	}
 	e.log.ResetReadCursor()
 
-	scanT := time.Now()
-	shards := e.log.RecordShards(scanStart)
-	indexes := make([]map[wal.ObjectID][]*wal.Record, len(shards))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(shards) {
-		workers = len(shards)
+	start := time.Now()
+	shards := e.log.FrameShards(scanStart)
+	p.scanDur = time.Since(start)
+	// Shard i's slab goes to shard i+ahead once analysis has passed it.
+	// On an early return the scans in flight finish into their buffers.
+	ahead := runtime.GOMAXPROCS(0) + 1
+	out := make([]chan shardScan, len(shards))
+	scan := func(i int, slab shardScan) {
+		out[i] = make(chan shardScan, 1)
+		go func() { out[i] <- slab.scan(shards[i]) }()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(shards) {
-					return
-				}
-				m := make(map[wal.ObjectID][]*wal.Record)
-				for _, rec := range shards[i] {
-					if redoable(rec) {
-						m[rec.Object] = append(m[rec.Object], rec)
-					}
-				}
-				indexes[i] = m
-			}
-		}()
+	for i := 0; i < min(ahead, len(shards)); i++ {
+		scan(i, shardScan{})
 	}
-	wg.Wait()
-	// Merge in shard order: shards are LSN-ordered between themselves and
-	// within, so each chain comes out in LSN order.
-	for _, m := range indexes {
-		for obj, recs := range m {
-			c := p.chains[obj]
-			if c == nil {
-				c = &objectChain{obj: obj}
-				p.chains[obj] = c
-			}
-			c.recs = append(c.recs, recs...)
+	for i := range shards {
+		wait := time.Now()
+		s := <-out[i]
+		p.scanDur += time.Since(wait)
+		if s.err != nil {
+			return fmt.Errorf("core: recovery scan: %w", s.err)
 		}
-	}
-	p.segments = len(shards)
-	p.scanDur = time.Since(scanT)
-
-	analysisT := time.Now()
-	for _, shard := range shards {
-		for _, rec := range shard {
+		for j := range s.recs {
+			rec := &s.recs[j]
 			e.stats.RecForwardRecords++
 			if err := e.analyzeRecordLocked(rec, rec.LSN > analysisAfter, p.compensated); err != nil {
 				return err
 			}
+			if redoable(rec) {
+				// Analysis runs in LSN order, so each chain does too.
+				c := p.chains[rec.Object]
+				if c == nil {
+					c = &objectChain{obj: rec.Object}
+					p.chains[rec.Object] = c
+				}
+				c.recs = append(c.recs, chainRec{rec.LSN, s.frames[j]})
+			}
+		}
+		if i+ahead < len(shards) {
+			scan(i+ahead, s)
 		}
 	}
+	p.segments = len(shards)
 	p.heat = make([]*objectChain, 0, len(p.chains))
 	for _, c := range p.chains {
 		p.heat = append(p.heat, c)
@@ -241,8 +242,38 @@ func (p *recoveryPipeline) scanLocked() error {
 		}
 		return p.heat[i].obj < p.heat[j].obj
 	})
-	p.analysisDur = time.Since(analysisT)
+	p.analysisDur = time.Since(start) - p.scanDur
 	return nil
+}
+
+// shardScan is one segment's scan: its records decoded into recs, each
+// aliasing its frame in frames.  Analysis hands both slabs back for the
+// next segment.
+type shardScan struct {
+	recs   []wal.Record
+	frames [][]byte
+	err    error
+}
+
+// scan reads and decodes one segment's frames into s's slabs, growing
+// them as needed.
+func (s shardScan) scan(sh wal.FrameShard) shardScan {
+	buf, err := sh.Frames()
+	if err != nil {
+		return shardScan{err: err}
+	}
+	if cap(s.recs) < sh.Records {
+		s.recs, s.frames = make([]wal.Record, sh.Records), make([][]byte, sh.Records)
+	}
+	s.recs, s.frames = s.recs[:sh.Records], s.frames[:sh.Records]
+	for i := range s.recs {
+		n, err := wal.DecodeRecordInto(buf, &s.recs[i])
+		if err != nil {
+			return shardScan{err: err}
+		}
+		s.frames[i], buf = buf[:n:n], buf[n:]
+	}
+	return s
 }
 
 // installLocked finishes setup — winner/loser classification, the undo
@@ -458,11 +489,11 @@ func (p *recoveryPipeline) applyChain(c *objectChain) error {
 	return c.err
 }
 
-// redoChain applies c's records in LSN order under applyMu.  The baseline
-// is the object's page pre-recovery pageLSN (pageBase), NilLSN for
-// objects absent from stable storage — per-page, not per-object, because
-// a page flushed at pageLSN pl covers the ≤ pl updates of every object on
-// it.
+// redoChain decodes and applies c's records in LSN order under applyMu.
+// The baseline is the object's page pre-recovery pageLSN (pageBase),
+// NilLSN for objects absent from stable storage — per-page, not
+// per-object, because a page flushed at pageLSN pl covers the ≤ pl
+// updates of every object on it.
 func (p *recoveryPipeline) redoChain(c *objectChain) error {
 	p.applyMu.Lock()
 	defer p.applyMu.Unlock()
@@ -470,14 +501,18 @@ func (p *recoveryPipeline) redoChain(c *objectChain) error {
 	if err != nil {
 		return err
 	}
-	for _, rec := range c.recs {
-		if rec.LSN <= base {
+	var rec wal.Record
+	for _, cr := range c.recs {
+		if cr.lsn <= base {
 			continue
+		}
+		if _, err := wal.DecodeRecordInto(cr.frame, &rec); err != nil {
+			return err
 		}
 		if err := p.ensurePageLocked(c.obj); err != nil {
 			return err
 		}
-		if err := p.e.redoRecord(rec); err != nil {
+		if err := p.e.redoRecord(&rec); err != nil {
 			return err
 		}
 		p.stats.RecRedone++

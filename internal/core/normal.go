@@ -372,8 +372,8 @@ func (e *Engine) ObjectsOf(tx wal.TxID) ([]wal.ObjectID, error) {
 func (e *Engine) Commit(tx wal.TxID) error {
 	start := time.Now()
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if info := e.readOnlyLocked(tx); info != nil {
-		defer e.mu.Unlock()
 		info.Status = txn.Committed
 		e.met.readonlyCommits.Inc()
 		// The end record chains to the begin record, the head of the
@@ -381,92 +381,68 @@ func (e *Engine) Commit(tx wal.TxID) error {
 		return e.finishCommitLocked(tx, info, info.LastLSN, start)
 	}
 	if err := e.writableLocked(); err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	info, err := e.activeInfo(tx)
 	if err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	if err := e.checkCommitDependenciesLocked(tx); err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	prevLast := info.LastLSN
 	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: prevLast})
 	if err != nil {
-		e.mu.Unlock()
 		return err
 	}
-
-	if !e.opts.groupCommit() {
-		defer e.mu.Unlock()
-		if err := e.log.Flush(lsn); err != nil {
-			// The WAL already retried transient errors; what surfaces
-			// here is a persistent device failure.  The commit was
-			// never acknowledged (the transaction stays Active and
-			// abortable); the engine degrades to read-only.
-			e.degradeLocked(err)
-			return err
-		}
-		info.Status = txn.Committed
-		info.LastLSN = lsn
-		return e.finishCommitLocked(tx, info, lsn, start)
-	}
-
 	if e.opts.elr() {
 		// Early lock release: release the locks at the commit point and
 		// defer only the durability ack.  See internal/core/elr.go.
 		return e.commitELR(tx, info, lsn, prevLast, start)
 	}
-
-	// Group commit.  The appended commit record is the commit point: mark
-	// the transaction Committed *before* releasing the latch so cascading
-	// aborts (which only victimize Active transactions) cannot undo its
-	// updates during the unlatched wait.  A dependent that observes the
-	// Committed status and commits ahead of us is safe: its commit record
-	// has a higher LSN, and flushes are prefix-ordered, so it cannot
-	// become durable unless ours does.
-	info.Status = txn.Committed
-	info.LastLSN = lsn
-	ch := e.log.FlushAsync(lsn)
-	e.mu.Unlock()
-	ferr := <-ch
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.crashed {
-		// A crash interleaved with the flush wait.  Whether the commit
-		// record reached the device before the crash decides the
-		// transaction's fate at Recover — the usual commit-ack
-		// ambiguity of a crash during commit processing.
-		return ErrCrashed
-	}
-	if ferr != nil {
-		// The device refused the flush: the commit is not durable and
-		// was never acknowledged.  Return the transaction to Active —
-		// matching the synchronous path, where a failed flush also
-		// leaves the transaction alive (retriable, abortable,
-		// cascadable) — and rewind LastLSN past the never-flushed
-		// commit record: the transaction's backward chain must head at
-		// its last update/CLR, or a subsequent Abort would hang its
-		// CLRs off a commit record that recovery may never see.
-		if info := e.txns.Get(tx); info != nil && info.Status == txn.Committed {
-			info.Status = txn.Active
-			info.LastLSN = prevLast
-		}
-		// A force failure past the WAL's retry budget is a persistent
-		// device problem: degrade so later mutations are turned away
-		// instead of queuing more never-flushable records.
-		e.degradeLocked(ferr)
-		return ferr
+	// A failed force leaves the transaction Active: never acknowledged,
+	// retriable, abortable, cascadable.
+	if err := e.forceDecisionLocked(tx, info, lsn, txn.Committed); err != nil {
+		return err
 	}
 	info = e.txns.Get(tx)
 	if info == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
 	return e.finishCommitLocked(tx, info, lsn, start)
+}
+
+// forceDecisionLocked records the decision tx just appended at lsn —
+// status to, chain head lsn — and forces the log through it: under the
+// latch with group commit off, else on the coalesced flusher with the
+// latch released.  The status is set first, so cascading aborts (which
+// victimize Active transactions only) cannot undo tx during the wait.
+// A failed force withdraws the decision — tx gets back its status and
+// a chain rewound past the never-flushed record — and degrades the
+// engine; ErrCrashed reports a crash during the wait, after which the
+// durable log alone decides tx's fate.  Holds the latch on return.
+func (e *Engine) forceDecisionLocked(tx wal.TxID, info *txn.Info, lsn wal.LSN, to txn.Status) error {
+	from, prevLast := info.Status, info.LastLSN
+	info.Status, info.LastLSN = to, lsn
+	var err error
+	if e.opts.groupCommit() {
+		ch := e.log.FlushAsync(lsn)
+		e.mu.Unlock()
+		err = <-ch
+		e.mu.Lock()
+		if e.crashed {
+			return ErrCrashed
+		}
+	} else {
+		err = e.log.Flush(lsn)
+	}
+	if err != nil {
+		if info := e.txns.Get(tx); info != nil && info.Status == to {
+			info.Status, info.LastLSN = from, prevLast
+		}
+		e.degradeLocked(err)
+	}
+	return err
 }
 
 // readOnlyLocked returns tx's table entry if tx qualifies for the
@@ -541,37 +517,32 @@ func (e *Engine) finishCommitLocked(tx wal.TxID, info *txn.Info, lsn wal.LSN, st
 func (e *Engine) Abort(tx wal.TxID) error {
 	start := time.Now()
 	e.mu.Lock()
-	if e.crashed {
-		e.mu.Unlock()
-		return ErrCrashed
+	if err := e.abortUnlock(tx); err != nil {
+		return err
 	}
-	if !e.opts.groupCommit() {
-		defer e.mu.Unlock()
-		if err := e.abortLocked(tx); err != nil {
-			return err
-		}
-		e.met.abortNs.Observe(time.Since(start))
-		return nil
-	}
+	e.met.abortNs.Observe(time.Since(start))
+	return nil
+}
 
-	// Group-commit mode: complete the abort — including any cascaded
-	// aborts, whose records are appended before we read Head — then wait
-	// for one coalesced flush covering all of it with the latch released.
-	if err := e.abortLocked(tx); err != nil {
+// abortUnlock runs abortLocked and releases the latch.  In group-commit
+// mode the abort — cascaded aborts included, whose records are appended
+// before Head is read — is then forced by one coalesced flush with the
+// latch released.  The abort stands either way: recovery would re-abort
+// the transaction regardless, so a force that fails past the WAL's
+// retry budget degrades the engine instead of failing the abort.
+func (e *Engine) abortUnlock(tx wal.TxID) error {
+	err := e.abortLocked(tx)
+	if err != nil || !e.opts.groupCommit() {
 		e.mu.Unlock()
 		return err
 	}
 	ch := e.log.FlushAsync(e.log.Head())
 	e.mu.Unlock()
 	if ferr := <-ch; ferr != nil {
-		// The abort stands — the transaction is terminated and recovery
-		// would re-abort it regardless — but the force failed past the
-		// WAL's retry budget: degrade instead of failing the abort.
 		e.mu.Lock()
 		e.degradeLocked(ferr)
 		e.mu.Unlock()
 	}
-	e.met.abortNs.Observe(time.Since(start))
 	return nil
 }
 
@@ -579,37 +550,47 @@ func (e *Engine) abortLocked(tx wal.TxID) error {
 	if e.crashed {
 		return ErrCrashed
 	}
-	info, err := e.activeInfo(tx)
-	if err != nil {
+	if _, err := e.activeInfo(tx); err != nil {
 		return err
 	}
 	// ABORT OPERATIONS: undo everything covered by tx's scopes, sweeping
 	// backwards from the largest covered LSN to minLSN (§3.5).
-	if err := e.undoScopes(e.state[tx].OwnedScopes(tx), undoSweep{}); err != nil {
+	if err := e.rollbackLocked(e.state[tx].OwnedScopes(tx)); err != nil {
 		return err
 	}
 	// WRITE ABORT RECORD.  In group-commit mode the force is deferred to
 	// the top-level Abort's coalesced off-latch flush (every abort —
 	// cascaded ones included — runs under exactly one top-level Abort);
 	// with GroupCommitOff the record is forced here, under the latch.
-	info = e.txns.Get(tx) // lastLSN advanced by the CLRs
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: tx, PrevLSN: info.LastLSN})
+	lsn, err := e.endAbortLocked(tx, !e.opts.groupCommit())
 	if err != nil {
 		return err
 	}
-	if !e.opts.groupCommit() {
-		if err := e.log.Flush(lsn); err != nil {
-			// See Abort's contract: the force is best-effort — the
-			// abort completes in volatile state and the device error
-			// degrades the engine rather than failing the abort.
-			e.degradeLocked(err)
-		}
+	if e.reg.HasEventHook() {
+		e.reg.Emit(obs.Event{Name: "txn.abort", Tx: uint64(tx), LSN: uint64(lsn)})
+	}
+	// Cascade: abort-dependents of tx must abort too.
+	return e.cascadeAbortsLocked(tx)
+}
+
+// endAbortLocked writes tx's abort record — forcing it under the latch
+// if force is set, best-effort as Abort's contract says — and end
+// record, then releases tx's locks and drops its volatile state.  It
+// returns the abort record's LSN.
+func (e *Engine) endAbortLocked(tx wal.TxID, force bool) (wal.LSN, error) {
+	info := e.txns.Get(tx) // lastLSN advanced by the CLRs
+	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeAbort, TxID: tx, PrevLSN: info.LastLSN})
+	if err != nil {
+		return wal.NilLSN, err
+	}
+	if force {
+		e.degradeLocked(e.log.Flush(lsn))
 	}
 	info.Status = txn.Aborted
 	info.LastLSN = lsn
 	endLSN, err := e.log.Append(&wal.Record{Type: wal.TypeEnd, TxID: tx, PrevLSN: lsn})
 	if err != nil {
-		return err
+		return wal.NilLSN, err
 	}
 	info.LastLSN = endLSN
 	e.locks.ReleaseAll(tx)
@@ -618,11 +599,30 @@ func (e *Engine) abortLocked(tx wal.TxID) error {
 	e.txns.Remove(tx)
 	e.stats.Aborts++
 	e.met.aborts.Inc()
-	if e.reg.HasEventHook() {
-		e.reg.Emit(obs.Event{Name: "txn.abort", Tx: uint64(tx), LSN: uint64(lsn)})
+	return lsn, nil
+}
+
+// rollbackLocked runs the normal-processing undo sweep — abort, savepoint
+// rollback, the ELR cascade — over scopes.  A sweep that stops part-way
+// (a log read or a CLR append failed) has compensated some records and
+// not others: the engine degrades, and the scopes' owners are refused
+// any further sweep, which would compensate the same records again.
+// They keep their locks until the crash; recovery, which handles
+// partial CLR chains, finishes the rollback from the durable log.
+func (e *Engine) rollbackLocked(scopes []delegation.Scope) error {
+	for _, s := range scopes {
+		if err := e.undoStopped[s.Owner]; err != nil {
+			return fmt.Errorf("%w: t%d's rollback stopped part-way: %v", ErrDegraded, s.Owner, err)
+		}
 	}
-	// Cascade: abort-dependents of tx must abort too.
-	return e.cascadeAbortsLocked(tx)
+	err := e.undoScopes(scopes, undoSweep{})
+	if err != nil {
+		for _, s := range scopes {
+			e.undoStopped[s.Owner] = err
+		}
+		e.degradeLocked(err)
+	}
+	return err
 }
 
 // undoSweep configures one run of undoScopes.  The zero value is the

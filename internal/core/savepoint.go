@@ -75,7 +75,7 @@ func (e *Engine) RollbackTo(sp Savepoint) error {
 		}
 		after = append(after, clipped)
 	}
-	if err := e.undoScopes(after, undoSweep{}); err != nil {
+	if err := e.rollbackLocked(after); err != nil {
 		return err
 	}
 	// Trim the object list: drop or shorten scopes past the marker.

@@ -78,69 +78,31 @@ type InDoubtTxn struct {
 func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 	start := time.Now()
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := e.writableLocked(); err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	info, err := e.activeInfo(tx)
 	if err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	if err := e.checkCommitDependenciesLocked(tx); err != nil {
-		e.mu.Unlock()
 		return err
 	}
-	prevLast := info.LastLSN
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypePrepare, TxID: tx, PrevLSN: prevLast, GID: gid, Shard: coord})
+	lsn, err := e.log.Append(&wal.Record{Type: wal.TypePrepare, TxID: tx, PrevLSN: info.LastLSN, GID: gid, Shard: coord})
 	if err != nil {
-		e.mu.Unlock()
 		return err
 	}
-	// Mark Prepared before any unlatched wait so cascading aborts (which
-	// victimize Active transactions only) cannot roll the voter back
-	// while its prepare record is in flight to the device.
-	info.Status = txn.Prepared
-	info.LastLSN = lsn
 	e.prepared[tx] = preparedInfo{gid: gid, coord: coord, prepareLSN: lsn}
 	if gid > e.maxGID {
 		e.maxGID = gid
 	}
-
-	if !e.opts.groupCommit() {
-		defer e.mu.Unlock()
-		if err := e.log.Flush(lsn); err != nil {
-			info.Status = txn.Active
-			info.LastLSN = prevLast
-			delete(e.prepared, tx)
-			e.degradeLocked(err)
-			return err
-		}
-		e.met.prepares.Inc()
-		e.met.prepareNs.Observe(time.Since(start))
-		return nil
-	}
-
-	ch := e.log.FlushAsync(lsn)
-	e.mu.Unlock()
-	ferr := <-ch
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.crashed {
-		return ErrCrashed
-	}
-	if ferr != nil {
-		// The vote was never cast: return the transaction to Active with
-		// its chain rewound past the never-flushed prepare record, as
-		// Commit does for a failed commit force.
-		if info := e.txns.Get(tx); info != nil && info.Status == txn.Prepared {
-			info.Status = txn.Active
-			info.LastLSN = prevLast
-		}
+	// Prepared before any unlatched wait, so cascading aborts cannot roll
+	// the voter back while its prepare record is in flight; a failed
+	// force returns it to Active: the vote was never cast.
+	if err := e.forceDecisionLocked(tx, info, lsn, txn.Prepared); err != nil {
 		delete(e.prepared, tx)
-		e.degradeLocked(ferr)
-		return ferr
+		return err
 	}
 	e.met.prepares.Inc()
 	e.met.prepareNs.Observe(time.Since(start))
@@ -166,71 +128,34 @@ func (e *Engine) Prepare(tx wal.TxID, gid uint64, coord uint32) error {
 func (e *Engine) CommitPrepared(tx wal.TxID) error {
 	start := time.Now()
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := e.writableLocked(); err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	info := e.txns.Get(tx)
 	pi, ok := e.prepared[tx]
 	if info == nil || info.Status != txn.Prepared || !ok {
-		e.mu.Unlock()
 		return fmt.Errorf("%w: t%d", ErrNotPrepared, tx)
 	}
-	prevLast := info.LastLSN
-	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: prevLast})
+	lsn, err := e.log.Append(&wal.Record{Type: wal.TypeCommit, TxID: tx, PrevLSN: info.LastLSN})
 	if err != nil {
-		e.mu.Unlock()
 		return err
 	}
-	info.Status = txn.Committed
-	info.LastLSN = lsn
-
-	finish := func() error {
-		defer e.mu.Unlock()
-		info := e.txns.Get(tx)
-		if info == nil {
-			return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
-		}
-		if pi.coord == e.opts.ShardID {
-			e.globals[pi.gid] = globalDecision{prepareLSN: pi.prepareLSN}
-		}
-		delete(e.prepared, tx)
-		e.met.twopcCommits.Inc()
-		return e.finishCommitLocked(tx, info, lsn, start)
+	// A failed force leaves tx Prepared: its prepare record IS durable,
+	// the vote cannot be taken back.
+	if err := e.forceDecisionLocked(tx, info, lsn, txn.Committed); err != nil {
+		return err
 	}
-
-	if !e.opts.groupCommit() {
-		if err := e.log.Flush(lsn); err != nil {
-			info.Status = txn.Prepared
-			info.LastLSN = prevLast
-			e.degradeLocked(err)
-			e.mu.Unlock()
-			return err
-		}
-		return finish()
+	info = e.txns.Get(tx)
+	if info == nil {
+		return fmt.Errorf("%w: %d", ErrNoSuchTxn, tx)
 	}
-
-	ch := e.log.FlushAsync(lsn)
-	e.mu.Unlock()
-	ferr := <-ch
-
-	e.mu.Lock()
-	if e.crashed {
-		e.mu.Unlock()
-		return ErrCrashed
+	if pi.coord == e.opts.ShardID {
+		e.globals[pi.gid] = globalDecision{prepareLSN: pi.prepareLSN}
 	}
-	if ferr != nil {
-		// The decision is not durable: stay Prepared (the prepare record
-		// IS durable; the vote cannot be taken back) and degrade.
-		if info := e.txns.Get(tx); info != nil && info.Status == txn.Committed {
-			info.Status = txn.Prepared
-			info.LastLSN = prevLast
-		}
-		e.degradeLocked(ferr)
-		e.mu.Unlock()
-		return ferr
-	}
-	return finish()
+	delete(e.prepared, tx)
+	e.met.twopcCommits.Inc()
+	return e.finishCommitLocked(tx, info, lsn, start)
 }
 
 // AbortPrepared rolls back a prepared transaction — the presumed-abort
@@ -256,22 +181,7 @@ func (e *Engine) AbortPrepared(tx wal.TxID) error {
 	info.Status = txn.Active
 	delete(e.prepared, tx)
 	e.met.twopcAborts.Inc()
-	if !e.opts.groupCommit() {
-		defer e.mu.Unlock()
-		return e.abortLocked(tx)
-	}
-	if err := e.abortLocked(tx); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	ch := e.log.FlushAsync(e.log.Head())
-	e.mu.Unlock()
-	if ferr := <-ch; ferr != nil {
-		e.mu.Lock()
-		e.degradeLocked(ferr)
-		e.mu.Unlock()
-	}
-	return nil
+	return e.abortUnlock(tx)
 }
 
 // InDoubt returns the prepared local transactions whose global decision

@@ -158,32 +158,29 @@ func (p *Primary) Serve(rw io.ReadWriter) error {
 	return err
 }
 
-// sendLoop ships durable records as the subscription delivers them.
+// sendLoop ships durable records as the subscription delivers them: the
+// log's frames go on the wire exactly as they were appended.
 func (p *Primary) sendLoop(w io.Writer, sub *wal.Subscription) error {
+	next := sub.Cursor()
 	for {
-		recs, err := sub.Next(defaultBatch)
+		frames, last, err := sub.Next(defaultBatch)
 		if err != nil {
 			return err
 		}
-		payload := make([]byte, 8, 8+64*len(recs))
+		payload := make([]byte, 8, 8+len(frames))
 		binary.LittleEndian.PutUint64(payload, uint64(p.eng.Log().FlushedLSN()))
-		for _, r := range recs {
-			enc, err := wal.EncodeRecord(r)
-			if err != nil {
-				return err
-			}
-			payload = append(payload, enc...)
-		}
+		payload = append(payload, frames...)
 		if err := writeMsg(w, msgRecords, payload); err != nil {
 			return err
 		}
-		n := uint64(len(payload) - 8)
-		p.met.shippedRecords.Add(uint64(len(recs)))
+		n := uint64(len(frames))
+		p.met.shippedRecords.Add(uint64(last - next + 1))
+		next = last + 1
 		p.met.shippedBytes.Add(n)
 		p.mu.Lock()
 		p.shippedBytes += n
 		p.inflight = append(p.inflight, batchMark{
-			last:     recs[len(recs)-1].LSN,
+			last:     last,
 			cumBytes: p.shippedBytes,
 			sent:     time.Now(),
 		})

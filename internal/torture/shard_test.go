@@ -1,17 +1,6 @@
 package torture
 
-import (
-	"testing"
-
-	"ariesrh/internal/core"
-)
-
-// shardOptions is an engineConfigs row as the cluster sweeps run it:
-// the early-lock-release row also recovers on the parallel schedule.
-func shardOptions(opts core.Options) core.Options {
-	opts.ParallelRecovery = opts.EarlyLockRelease
-	return opts
-}
+import "testing"
 
 // TestShardSweep is the headline cross-shard torture run, over every
 // engine configuration: every shard of a 3-shard cluster is crashed at
@@ -26,7 +15,7 @@ func TestShardSweep(t *testing.T) {
 			if testing.Short() {
 				cfg.MaxBoundaries = 45
 			}
-			res, err := cfg.sweep(shardOptions(c.opts))
+			res, err := cfg.sweep(c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +53,7 @@ func TestShardSweepSecondSeed(t *testing.T) {
 			if testing.Short() {
 				cfg.MaxBoundaries = 45
 			}
-			res, err := cfg.sweep(shardOptions(c.opts))
+			res, err := cfg.sweep(c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}

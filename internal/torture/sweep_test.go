@@ -14,7 +14,8 @@ import (
 
 // engineConfigs is the crash-sweep matrix the core and shard sweeps run
 // over: group commit off (the deterministic rows), group commit on (the
-// default), and group commit on with early lock release.
+// default), group commit on with early lock release, and that again
+// recovering on the parallel schedule.
 var engineConfigs = []struct {
 	name string
 	opts core.Options
@@ -22,6 +23,7 @@ var engineConfigs = []struct {
 	{"group-commit-off", core.Options{GroupCommit: core.GroupCommitOff}},
 	{"group-commit-on", core.Options{GroupCommit: core.GroupCommitOn}},
 	{"group-commit-on+elr", core.Options{GroupCommit: core.GroupCommitOn, EarlyLockRelease: true}},
+	{"group-commit-on+elr+parallel", core.Options{GroupCommit: core.GroupCommitOn, EarlyLockRelease: true, ParallelRecovery: true}},
 }
 
 // syncTrial is a driver-only trial: its workload syncs one device a

@@ -363,9 +363,11 @@ func Run(cfg Config) (Result, error) {
 // oracle as the sequential sweep, and the post-WaitRecovered state is
 // checked against it a second time.  The undo-visit stream must stay one
 // strictly decreasing sweep — the pipeline changes when redo happens,
-// never the undo order.
-func RunReadsDuringRecovery(cfg Config) (Result, error) {
-	return cfg.sweep(core.Options{GroupCommit: core.GroupCommitOff, ParallelRecovery: true})
+// never the undo order.  gc selects the commit path of the workload:
+// with group commit off the crash points are a pure function of the
+// trace, with it on commits share syncs as they do by default.
+func RunReadsDuringRecovery(cfg Config, gc core.GroupCommitMode) (Result, error) {
+	return cfg.sweep(core.Options{GroupCommit: gc, ParallelRecovery: true})
 }
 
 // sweep runs the core sweep on engines opened with opts (PoolSize and

@@ -3,6 +3,8 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -122,4 +124,68 @@ func FuzzDecodeSegmentHeader(f *testing.F) {
 			t.Fatalf("accepted header does not round-trip: %x", data[:segmentHeaderSize])
 		}
 	})
+}
+
+// FuzzDecodeSegmentImage is differential: for any image, open's no-copy
+// walk (one scratch record aliasing the image) and a full DecodeRecord of
+// every frame must agree on accept/reject, on the torn flag and on the
+// frame offsets — and the keeping walk must return exactly the records
+// the full decode does.
+func FuzzDecodeSegmentImage(f *testing.F) {
+	img := segmentImage(f, sampleRecords())
+	f.Add(img)
+	f.Add(img[:segmentHeaderSize])
+	f.Add(img[:segmentHeaderSize-1])
+	f.Add(img[:len(img)-3])
+	flipped := append([]byte(nil), img...)
+	flipped[segmentHeaderSize+frameHeaderSize+2] ^= 0x40
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, img []byte) {
+		walk, werr := decodeSegmentImage(img, false)
+		offsets, recs, torn, rerr := fullDecode(img)
+		if (werr == nil) != (rerr == nil) {
+			t.Fatalf("walk err = %v, full decode err = %v", werr, rerr)
+		}
+		if werr != nil {
+			return
+		}
+		if walk.torn != torn || !slices.Equal(walk.offsets, offsets) {
+			t.Fatalf("walk torn=%v offsets=%v, full decode torn=%v offsets=%v", walk.torn, walk.offsets, torn, offsets)
+		}
+		kept, err := decodeSegmentImage(img, true)
+		if err != nil || len(kept.recs) != len(recs) {
+			t.Fatalf("keeping walk = %v, %v; full decode = %v", kept.recs, err, recs)
+		}
+		for i, r := range recs {
+			if !reflect.DeepEqual(normalize(kept.recs[i]), normalize(r)) {
+				t.Fatalf("keeping walk record %d = %+v, full decode %+v", i, kept.recs[i], r)
+			}
+		}
+	})
+}
+
+// fullDecode is the reference walk of FuzzDecodeSegmentImage: the header,
+// then DecodeRecord on every frame with the same density rule.
+func fullDecode(img []byte) (offsets []int, recs []*Record, torn bool, err error) {
+	hdr, err := decodeSegmentHeader(img)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	body := img[segmentHeaderSize:]
+	for off := 0; off < len(body); {
+		r, n, err := DecodeRecord(body[off:])
+		if errors.Is(err, ErrTruncated) {
+			return offsets, recs, true, nil
+		}
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if r.LSN != hdr.firstLSN+LSN(len(recs)) {
+			return nil, nil, false, ErrCorrupt
+		}
+		offsets = append(offsets, off)
+		recs = append(recs, r)
+		off += n
+	}
+	return offsets, recs, false, nil
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -117,13 +118,18 @@ type LogOptions struct {
 
 // Log is the write-ahead log.  It is safe for concurrent use.
 //
-// Volatile state: all appended records live in per-segment in-memory
-// buffers and decoded caches.  Durable state: the log's directory holds
-// one append-only image per segment plus a generation-numbered manifest
-// (see manifest.go); Flush copies encoded bytes to the segment devices
-// in LSN order.  Crash discards everything past the last flush and
-// re-opens from the directory, exactly as a real system loses its
-// in-memory log tail.
+// Volatile state: the encoded frames are the log's only in-memory copy of
+// its records, and only where they are not yet safe on a device — the
+// active segment's image and any sealed segment with unflushed bytes —
+// plus a per-record offset index.  A sealed, fully durable segment drops
+// its image; its frames are read back from its device.  Readers (Get,
+// Scan, Rewrite, FrameShards, Subscription.Next) fetch frames on demand,
+// decoded by the one record decoder.  Durable state: the log's
+// directory holds one append-only image per segment plus a
+// generation-numbered manifest (see manifest.go); Flush copies encoded
+// bytes to the segment devices in LSN order.  Crash discards everything
+// past the last flush and re-opens from the directory, exactly as a real
+// system loses its in-memory log tail.
 //
 // Appending past the segment cap rotates: the active segment is sealed
 // and a fresh one (with its own device) becomes the append target, the
@@ -152,7 +158,6 @@ type Log struct {
 	flushLeader   bool
 	flushInFlight bool
 	flushIdle     *sync.Cond
-	flushScratch  []byte
 
 	// durableCBs holds OnDurable registrations not yet covered by the
 	// durable horizon; each fires exactly once (see OnDurable).
@@ -176,20 +181,75 @@ type Log struct {
 	met         logMetrics
 }
 
-// segment is one live log segment: a device image plus the volatile
-// mirror of its record bytes.  Records firstLSN..firstLSN+len(offsets)-1
-// live here; data holds their frames (the durable prefix mirrored on dev
-// after the segment header).
+// segment is one live log segment: a device image plus, while any of its
+// frames may still be lost, their in-memory image.  Records
+// firstLSN..firstLSN+len(offsets)-1 live here.  data holds their frames
+// while the segment is the append target or has unflushed bytes; once it
+// is sealed and fully durable (flushedBytes == size) data is dropped and
+// the frames are read from dev, after the segment header.
 type segment struct {
 	num      uint64
 	firstLSN LSN
 	dev      Store
 
-	data    []byte // encoded frames, volatile image
-	offsets []int  // offsets[i] = byte offset (in data) of record firstLSN+i
-	cache   []*Record
+	data    []byte // encoded frames while resident, nil once dropped
+	size    int64  // encoded bytes of all frames, resident or not
+	offsets []int  // offsets[i] = byte offset (in the frames) of record firstLSN+i
 
-	flushedBytes int64 // bytes of data durably mirrored (excluding header)
+	flushedBytes int64 // frame bytes durably on dev (excluding header)
+}
+
+// settle drops a sealed segment's image once every frame of it is
+// durable.  Callers invoke it only on sealed segments and hold l.mu; the
+// returned count is the bytes released, for the resident gauge.
+func (s *segment) settle() int64 {
+	if s.data == nil || s.flushedBytes != s.size {
+		return 0
+	}
+	n := int64(len(s.data))
+	s.data = nil
+	return n
+}
+
+// shard describes records lo..hi-1 of the segment (indexes into
+// offsets) as a FrameShard, capturing the resident frames — read-only,
+// capacity-capped so appends never write into them — if there are any.
+func (s *segment) shard(lo, hi int) FrameShard {
+	sh := FrameShard{Records: hi - lo, seg: s, start: int64(s.offsets[lo]), end: s.size}
+	if hi < len(s.offsets) {
+		sh.end = int64(s.offsets[hi])
+	}
+	if s.data != nil {
+		sh.frames = s.data[sh.start:sh.end:sh.end]
+	}
+	return sh
+}
+
+// FrameShard is a run of consecutive records within one segment: their
+// Records frames, encoded exactly as appended.
+type FrameShard struct {
+	Records    int
+	frames     []byte   // the frames, while their segment is resident
+	seg        *segment // else read from its dev (num and dev never change)
+	start, end int64    // the frames' byte range after the segment header
+}
+
+// Frames returns the shard's frames: a resident segment's in-memory
+// image, which callers MUST treat as read-only, or a fresh buffer read
+// from the segment's device now.  A shard read outside the log's latch
+// must not outlive an Archive or a Crash.
+func (sh FrameShard) Frames() ([]byte, error) {
+	if sh.frames != nil {
+		return sh.frames, nil
+	}
+	buf := make([]byte, sh.end-sh.start)
+	if n, err := sh.seg.dev.ReadAt(buf, segmentHeaderSize+sh.start); n < len(buf) {
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("wal: read segment %d: %w", sh.seg.num, err)
+	}
+	return buf, nil
 }
 
 // lastLSN returns the LSN of the segment's last record (firstLSN-1 when
@@ -231,6 +291,8 @@ type logMetrics struct {
 	segments       *obs.Gauge
 	rewrites       *obs.Counter
 	flushNs        *obs.Histogram
+	// resident is the frame bytes the log holds in memory.
+	resident *obs.Gauge
 }
 
 func bindLogMetrics(r *obs.Registry) logMetrics {
@@ -250,6 +312,7 @@ func bindLogMetrics(r *obs.Registry) logMetrics {
 		segments:       r.Gauge("wal.segments"),
 		rewrites:       r.Counter("wal.rewrites"),
 		flushNs:        r.Histogram("wal.flush_ns"),
+		resident:       r.Gauge("wal.resident_bytes"),
 	}
 }
 
@@ -261,6 +324,16 @@ func (l *Log) Instrument(reg *obs.Registry) {
 	defer l.mu.Unlock()
 	l.met = bindLogMetrics(reg)
 	l.met.segments.Set(int64(len(l.segs)))
+	l.met.resident.Set(l.residentLocked())
+}
+
+// residentLocked sums the frame bytes held in memory.
+func (l *Log) residentLocked() int64 {
+	var n int64
+	for _, s := range l.segs {
+		n += int64(len(s.data))
+	}
+	return n
 }
 
 // flushWaiter is one FlushAsync request: release ch (with nil or an
@@ -386,22 +459,42 @@ func (l *Log) segIndexLocked(lsn LSN) int {
 	return lo
 }
 
-// recordAtLocked returns the cached record at lsn, or nil if no live
-// segment holds it.  No access stats are recorded.
-func (l *Log) recordAtLocked(lsn LSN) *Record {
-	if lsn == NilLSN {
-		return nil
+// locateLocked returns the segment holding lsn and the record's index in
+// it, or the error every reader reports: ErrArchived at or below the
+// base, ErrNoSuchLSN for NilLSN and LSNs past the head.
+func (l *Log) locateLocked(lsn LSN) (*segment, int, error) {
+	if lsn != NilLSN && lsn <= l.base {
+		return nil, 0, errArchived(lsn, l.base)
 	}
-	i := l.segIndexLocked(lsn)
-	if i < 0 {
-		return nil
+	if i := l.segIndexLocked(lsn); i >= 0 {
+		seg := l.segs[i]
+		if idx := int(lsn - seg.firstLSN); idx < len(seg.offsets) {
+			return seg, idx, nil
+		}
 	}
-	seg := l.segs[i]
-	idx := int(lsn - seg.firstLSN)
-	if idx < 0 || idx >= len(seg.cache) {
-		return nil
+	return nil, 0, fmt.Errorf("%w: %d (head %d)", ErrNoSuchLSN, lsn, l.headLocked())
+}
+
+// maxShardRecords bounds a FrameShard, so a reader decoding one shard at
+// a time needs scratch for at most this many records, however large the
+// segments are.
+const maxShardRecords = 1024
+
+// shardsLocked describes records from..to, which must be live, as
+// shards in LSN order: each segment's share, in pieces of at most
+// maxShardRecords.
+func (l *Log) shardsLocked(from, to LSN) []FrameShard {
+	var shards []FrameShard
+	for i := l.segIndexLocked(from); from <= to; {
+		seg := l.segs[i]
+		hi := min(to, seg.lastLSN(), from+maxShardRecords-1)
+		shards = append(shards, seg.shard(int(from-seg.firstLSN), int(hi-seg.firstLSN)+1))
+		if hi == seg.lastLSN() {
+			i++
+		}
+		from = hi + 1
 	}
-	return seg.cache[idx]
+	return shards
 }
 
 // writeManifestLocked persists a fresh manifest generation listing
@@ -449,7 +542,7 @@ func (l *Log) writeManifestLocked(base LSN, entries []manifestEntry) error {
 	return nil
 }
 
-// manifestEntriesLocked builds the manifest entry list for segs.
+// manifestEntries builds the manifest entry list for segs.
 func manifestEntries(segs []*segment) []manifestEntry {
 	entries := make([]manifestEntry, len(segs))
 	for i, s := range segs {
@@ -486,6 +579,7 @@ func (l *Log) rotateLocked() error {
 		_ = l.dir.Remove(name)
 		return err
 	}
+	l.met.resident.Add(-l.segs[len(l.segs)-1].settle())
 	l.segs = append(l.segs, &segment{num: num, firstLSN: head + 1, dev: dev})
 	l.stats.Rotations++
 	l.met.rotations.Inc()
@@ -506,7 +600,7 @@ func (l *Log) Append(r *Record) (LSN, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	active := l.segs[len(l.segs)-1]
-	if int64(len(active.data)) >= l.segCap && len(active.offsets) > 0 {
+	if active.size >= l.segCap && len(active.offsets) > 0 {
 		if err := l.rotateLocked(); err != nil {
 			return NilLSN, err
 		}
@@ -517,9 +611,10 @@ func (l *Log) Append(r *Record) (LSN, error) {
 	if err != nil {
 		return NilLSN, err
 	}
-	active.offsets = append(active.offsets, len(active.data))
+	active.offsets = append(active.offsets, int(active.size))
 	active.data = append(active.data, enc...)
-	active.cache = append(active.cache, r.clone())
+	active.size += int64(len(enc))
+	l.met.resident.Add(int64(len(enc)))
 	l.stats.Appends++
 	l.met.appends.Inc()
 	return r.LSN, nil
@@ -558,7 +653,7 @@ func (l *Log) Segments() []SegmentInfo {
 			Num:          s.num,
 			FirstLSN:     s.firstLSN,
 			Records:      len(s.offsets),
-			Bytes:        int64(len(s.data)),
+			Bytes:        s.size,
 			DurableBytes: s.flushedBytes,
 			Sealed:       i < len(l.segs)-1,
 		}
@@ -619,11 +714,13 @@ func (l *Log) runDurableCBsLocked(err error) {
 	}
 }
 
-// flushChunk is one contiguous device write of a flush: bytes
+// flushChunk is one contiguous device write of a flush: buf, bytes
 // [start,end) of seg.data, which once synced advance the durable
-// horizon to endLSN.
+// horizon to endLSN.  A chunk only ever covers unflushed bytes, so its
+// segment is resident.
 type flushChunk struct {
 	seg    *segment
+	buf    []byte
 	start  int64
 	end    int64
 	endLSN LSN
@@ -646,14 +743,14 @@ func (l *Log) flushChunksLocked(upTo LSN) []flushChunk {
 		var end int64
 		var endLSN LSN
 		if upTo >= seg.lastLSN() {
-			end = int64(len(seg.data))
+			end = seg.size
 			endLSN = seg.lastLSN()
 		} else {
 			end = int64(seg.offsets[upTo-seg.firstLSN+1])
 			endLSN = upTo
 		}
 		if end > seg.flushedBytes {
-			chunks = append(chunks, flushChunk{seg: seg, start: seg.flushedBytes, end: end, endLSN: endLSN})
+			chunks = append(chunks, flushChunk{seg: seg, buf: seg.data[seg.flushedBytes:end], start: seg.flushedBytes, end: end, endLSN: endLSN})
 		}
 	}
 	return chunks
@@ -678,36 +775,62 @@ func (l *Log) Flush(upTo LSN) error {
 	}
 	chunks := l.flushChunksLocked(upTo)
 	start := time.Now()
-	var flushed uint64
-	var err error
+	done, retries, err := l.writeChunks(chunks)
+	err = l.publishLocked(chunks[:done], retries, time.Since(start), false, err)
+	l.runDurableCBsLocked(err)
+	return err
+}
+
+// writeChunks writes and syncs chunks in order, stopping at the first
+// failure; it returns how many completed and the retries spent.
+func (l *Log) writeChunks(chunks []flushChunk) (done, retries int, err error) {
 	for _, c := range chunks {
-		retries, werr := l.writeSyncRetry(c.seg.dev, c.seg.data[c.start:c.end], segmentHeaderSize+c.start)
-		l.stats.FlushRetries += uint64(retries)
-		l.met.flushRetries.Add(uint64(retries))
-		if werr != nil {
-			err = werr
-			break
+		r, err := l.writeSyncRetry(c.seg.dev, c.buf, segmentHeaderSize+c.start)
+		retries += r
+		if err != nil {
+			return done, retries, err
 		}
+		done++
+	}
+	return done, retries, nil
+}
+
+// publishLocked makes the written prefix of a flush round visible: each
+// synced chunk advances its segment's durable bytes and the durable
+// horizon, and a sealed segment whose frames are now all durable drops
+// its image.  It accounts the round (grouped marks a group-commit leader
+// round), wakes tail subscribers, and returns err — the device error
+// that cut the round short, or nil — wrapped for the caller.
+func (l *Log) publishLocked(written []flushChunk, retries int, took time.Duration, grouped bool, err error) error {
+	l.stats.FlushRetries += uint64(retries)
+	l.met.flushRetries.Add(uint64(retries))
+	var flushed uint64
+	active := l.segs[len(l.segs)-1]
+	for _, c := range written {
 		c.seg.flushedBytes = c.end
 		l.flushedLSN = c.endLSN
 		flushed += uint64(c.end - c.start)
+		if c.seg != active {
+			l.met.resident.Add(-c.seg.settle())
+		}
 	}
 	if flushed > 0 {
+		l.tailCond.Broadcast()
 		l.stats.Flushes++
 		l.stats.FlushedBytes += flushed
 		l.met.flushes.Inc()
 		l.met.flushedBytes.Add(flushed)
-		l.met.flushNs.Observe(time.Since(start))
-		l.tailCond.Broadcast()
+		l.met.flushNs.Observe(took)
+		if grouped {
+			l.stats.GroupedFlushes++
+			l.met.groupedFlushes.Inc()
+		}
 	}
 	if err != nil {
 		l.stats.FlushErrors++
 		l.met.flushErrors.Inc()
-		err = fmt.Errorf("wal: flush: %w", err)
-		l.runDurableCBsLocked(err)
-		return err
+		return fmt.Errorf("wal: flush: %w", err)
 	}
-	l.runDurableCBsLocked(nil)
 	return nil
 }
 
@@ -797,92 +920,51 @@ func (l *Log) groupFlushLoop() {
 }
 
 // flushRangeUnlatched makes records through upTo durable while allowing
-// appends to proceed: the unflushed chunks are copied to a scratch buffer
-// under l.mu, the mutex is released for the device writes+Syncs (with
-// flushInFlight fencing out every other device writer), then re-acquired
-// to publish the new durable horizon.  Rotation during the unlatched I/O
-// is safe — it only creates new devices, never touching the chunks being
-// written.  Called only by the group-flush leader with l.mu held and
-// upTo ≤ head.
+// appends to proceed: l.mu is released for the device writes+Syncs (with
+// flushInFlight fencing out every other device writer), then
+// re-acquired to publish the new durable horizon.  The chunks' bytes
+// need no copy: appends never touch bytes already in a segment image (a
+// reallocation copies them and leaves the old array intact), and
+// rotation only creates new devices.  Called only by the group-flush
+// leader with l.mu held and upTo ≤ head.
 func (l *Log) flushRangeUnlatched(upTo LSN) error {
 	chunks := l.flushChunksLocked(upTo)
 	if len(chunks) == 0 {
 		return nil
 	}
-	// Copy every chunk's bytes into one scratch buffer (appends may grow
-	// and reallocate segment data while the mutex is released).
-	scratch := l.flushScratch[:0]
-	offs := make([]int, len(chunks)+1)
-	for i, c := range chunks {
-		scratch = append(scratch, c.seg.data[c.start:c.end]...)
-		offs[i+1] = len(scratch)
-	}
-	l.flushScratch = scratch
 	l.flushInFlight = true
 	l.mu.Unlock()
 	began := time.Now()
-	var err error
-	var retries int
-	done := 0
-	for i, c := range chunks {
-		var r int
-		r, err = l.writeSyncRetry(c.seg.dev, scratch[offs[i]:offs[i+1]], segmentHeaderSize+c.start)
-		retries += r
-		if err != nil {
-			break
-		}
-		done = i + 1
-	}
+	done, retries, err := l.writeChunks(chunks)
 	took := time.Since(began)
 	l.mu.Lock()
 	l.flushInFlight = false
 	l.flushIdle.Broadcast()
-	l.stats.FlushRetries += uint64(retries)
-	l.met.flushRetries.Add(uint64(retries))
-	var flushed uint64
-	for _, c := range chunks[:done] {
-		c.seg.flushedBytes = c.end
-		l.flushedLSN = c.endLSN
-		flushed += uint64(c.end - c.start)
-	}
-	if flushed > 0 {
-		l.flushedLSN = chunks[done-1].endLSN
-		l.tailCond.Broadcast()
-		l.stats.Flushes++
-		l.stats.GroupedFlushes++
-		l.stats.FlushedBytes += flushed
-		l.met.flushes.Inc()
-		l.met.groupedFlushes.Inc()
-		l.met.flushedBytes.Add(flushed)
-		l.met.flushNs.Observe(took)
-	}
-	if err != nil {
-		l.stats.FlushErrors++
-		l.met.flushErrors.Inc()
-		return fmt.Errorf("wal: flush: %w", err)
-	}
-	return nil
+	return l.publishLocked(chunks[:done], retries, took, true, err)
 }
 
-// Get returns the record with the given LSN.  The returned record is a
-// copy; callers may retain or modify it freely.
+// Get returns the record with the given LSN, decoded from its frame.  The
+// returned record is the caller's; it may be retained or modified
+// freely.
 func (l *Log) Get(lsn LSN) (*Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	r, err := l.getLocked(lsn)
+	return l.getLocked(lsn)
+}
+
+// getLocked decodes the record at lsn and counts the read.
+func (l *Log) getLocked(lsn LSN) (*Record, error) {
+	seg, idx, err := l.locateLocked(lsn)
 	if err != nil {
 		return nil, err
 	}
-	return r.clone(), nil
-}
-
-func (l *Log) getLocked(lsn LSN) (*Record, error) {
-	if lsn != NilLSN && lsn <= l.base {
-		return nil, errArchived(lsn, l.base)
+	frame, err := seg.shard(idx, idx+1).Frames()
+	if err != nil {
+		return nil, err
 	}
-	r := l.recordAtLocked(lsn)
-	if r == nil {
-		return nil, fmt.Errorf("%w: %d (head %d)", ErrNoSuchLSN, lsn, l.headLocked())
+	r, _, err := DecodeRecord(frame)
+	if err != nil {
+		return nil, fmt.Errorf("wal: record %d: %w", lsn, err)
 	}
 	l.stats.Reads++
 	l.met.reads.Inc()
@@ -917,12 +999,10 @@ func (l *Log) Scan(from, to LSN, fn func(*Record) (bool, error)) error {
 	for lsn := from; lsn <= to; lsn++ {
 		l.mu.Lock()
 		r, err := l.getLocked(lsn)
+		l.mu.Unlock()
 		if err != nil {
-			l.mu.Unlock()
 			return err
 		}
-		r = r.clone()
-		l.mu.Unlock()
 		ok, err := fn(r)
 		if err != nil {
 			return err
@@ -934,73 +1014,49 @@ func (l *Log) Scan(from, to LSN, fn func(*Record) (bool, error)) error {
 	return nil
 }
 
-// RecordShards returns one slice of decoded records per live segment,
-// oldest segment first, covering every record with LSN in [from, head]
-// (NilLSN means "from the log's base").  The slices alias the log's
-// in-memory record cache under one latch acquisition: callers MUST
-// treat both the slices and the records as read-only.
+// FrameShards describes every record with LSN in [from, head] (NilLSN
+// means "from the log's base") as FrameShards in LSN order — each live
+// segment's share, in pieces of at most 1024 records — under one latch
+// acquisition.  Callers read and decode
+// the shards themselves — the recovery scan does so in parallel, one
+// worker per shard, with DecodeRecordInto.
 //
-// This is the parallel-recovery scan surface.  Sealed segments are
-// immutable, so their shards may be walked by concurrent workers with
-// no further synchronization; the active segment's shard is a
-// snapshot — records appended after the call (e.g. recovery's own
-// CLRs) are not visible through it, which is exactly what a recovery
-// scan wants.  The crash contract is the caller's: shards reflect the
-// volatile image, so take them only after Crash/open reloaded the log
-// from the durable segment files (as Recover does).  Records below an
-// Archive that runs after the call are served from the snapshot, not
-// an error — do not hold shards across an Archive.
-func (l *Log) RecordShards(from LSN) [][]*Record {
+// The active segment's shard is a snapshot — records appended after the
+// call (e.g. recovery's own CLRs) are not in it, which is exactly what a
+// recovery scan wants.  The crash contract is the caller's: shards
+// reflect the volatile image, so take them only after Crash/open
+// reloaded the log from the durable segment files (as Recover does).
+func (l *Log) FrameShards(from LSN) []FrameShard {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if from == NilLSN {
-		from = 1
-	}
 	if from <= l.base {
 		from = l.base + 1
 	}
-	shards := make([][]*Record, 0, len(l.segs))
-	for _, seg := range l.segs {
-		if len(seg.cache) == 0 {
-			continue
-		}
-		lo := 0
-		if from > seg.firstLSN {
-			lo = int(from - seg.firstLSN)
-		}
-		if lo >= len(seg.cache) {
-			continue
-		}
-		hi := len(seg.cache)
-		// Full-slice expression: appends to the active segment's cache
-		// can never write into a shard's spare capacity.
-		shards = append(shards, seg.cache[lo:hi:hi])
-	}
-	return shards
+	return l.shardsLocked(from, l.headLocked())
 }
 
 // Rewrite mutates the record at lsn in place via fn and patches both the
-// volatile image and (if the record was already durable) the stable
-// segment device.  This is the physical "rewriting of history" of the
-// naïve baselines; the ARIES/RH engine never calls it.  The mutated
-// record must encode to the same number of bytes.
+// in-memory image (if the segment is resident) and, if the record was
+// already durable, the stable segment device.  This is the physical
+// "rewriting of history" of the naïve baselines; the ARIES/RH engine
+// never calls it.  The mutated record must encode to the same number of
+// bytes.
 func (l *Log) Rewrite(lsn LSN, fn func(*Record)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.waitFlushIdleLocked()
-	if lsn != NilLSN && lsn <= l.base {
-		return errArchived(lsn, l.base)
+	seg, idx, err := l.locateLocked(lsn)
+	if err != nil {
+		return err
 	}
-	i := -1
-	if lsn != NilLSN {
-		i = l.segIndexLocked(lsn)
+	frame, err := seg.shard(idx, idx+1).Frames()
+	if err != nil {
+		return err
 	}
-	if i < 0 || int(lsn-l.segs[i].firstLSN) >= len(l.segs[i].offsets) {
-		return fmt.Errorf("%w: %d", ErrNoSuchLSN, lsn)
+	r, _, err := DecodeRecord(frame)
+	if err != nil {
+		return err
 	}
-	seg := l.segs[i]
-	idx := int(lsn - seg.firstLSN)
-	r := seg.cache[idx].clone()
 	fn(r)
 	if r.LSN != lsn {
 		return fmt.Errorf("wal: rewrite may not change the LSN of record %d", lsn)
@@ -1009,24 +1065,19 @@ func (l *Log) Rewrite(lsn LSN, fn func(*Record)) error {
 	if err != nil {
 		return err
 	}
-	off := seg.offsets[idx]
-	var end int
-	if idx+1 == len(seg.offsets) {
-		end = len(seg.data)
-	} else {
-		end = seg.offsets[idx+1]
+	if len(enc) != len(frame) {
+		return fmt.Errorf("%w: %d -> %d bytes", ErrRewriteSizeChanged, len(frame), len(enc))
 	}
-	if len(enc) != end-off {
-		return fmt.Errorf("%w: %d -> %d bytes", ErrRewriteSizeChanged, end-off, len(enc))
-	}
-	copy(seg.data[off:end], enc)
-	seg.cache[idx] = r
+	// A resident frame aliases the segment image: this patches it.
+	copy(frame, enc)
+	off := int64(seg.offsets[idx])
+	end := off + int64(len(frame))
 	l.stats.Rewrites++
 	l.met.rewrites.Inc()
-	if int64(end) <= seg.flushedBytes {
+	if end <= seg.flushedBytes {
 		// The record was already stable: patch the device in place
 		// (a random write, the cost the paper's RH design avoids).
-		if _, err := seg.dev.WriteAt(enc, segmentHeaderSize+int64(off)); err != nil {
+		if _, err := seg.dev.WriteAt(enc, segmentHeaderSize+off); err != nil {
 			return fmt.Errorf("wal: rewrite flush: %w", err)
 		}
 		if err := seg.dev.Sync(); err != nil {

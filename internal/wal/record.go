@@ -105,24 +105,16 @@ func (d *recordDecoder) u64() uint64 {
 	return v
 }
 
-func (d *recordDecoder) bytes16() []byte {
-	n := int(d.u16())
-	if d.err != nil || d.off+n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	p := append([]byte(nil), d.buf[d.off:d.off+n]...)
-	d.off += n
-	return p
-}
+func (d *recordDecoder) bytes16() []byte { return d.bytes(int(d.u16())) }
 
-func (d *recordDecoder) bytes32() []byte {
-	n := int(d.u32())
+func (d *recordDecoder) bytes32() []byte { return d.bytes(int(d.u32())) }
+
+func (d *recordDecoder) bytes(n int) []byte {
 	if d.err != nil || d.off+n > len(d.buf) {
 		d.fail()
 		return nil
 	}
-	p := append([]byte(nil), d.buf[d.off:d.off+n]...)
+	p := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return p
 }
@@ -191,21 +183,41 @@ func EncodeRecord(r *Record) ([]byte, error) {
 // DecodeRecord parses one framed record from the front of p, returning the
 // record and the total number of bytes consumed.  It returns ErrCorrupt
 // (possibly wrapped) when the frame is truncated or fails its checksum.
+// The record owns its byte slices: it shares no memory with p.
 func DecodeRecord(p []byte) (*Record, int, error) {
+	r := &Record{}
+	n, err := DecodeRecordInto(p, r)
+	if err != nil {
+		return nil, 0, err
+	}
+	r.Before = append([]byte(nil), r.Before...)
+	r.After = append([]byte(nil), r.After...)
+	r.Payload = append([]byte(nil), r.Payload...)
+	return r, n, nil
+}
+
+// DecodeRecordInto is the one record decoder: it parses the frame at the
+// front of p into r, overwriting every field, and returns the bytes
+// consumed.  Unlike DecodeRecord it copies nothing — r's Before, After
+// and Payload alias p, which must therefore stay unchanged while r is in
+// use — so decoding allocates nothing.  Opening a segment validates its
+// frames into one scratch record this way, and the recovery scan decodes
+// into slabs of records it reuses.
+func DecodeRecordInto(p []byte, r *Record) (int, error) {
 	if len(p) < frameHeaderSize {
-		return nil, 0, fmt.Errorf("%w (%w): frame header", ErrTruncated, ErrCorrupt)
+		return 0, fmt.Errorf("%w (%w): frame header", ErrTruncated, ErrCorrupt)
 	}
 	bodyLen := int(binary.LittleEndian.Uint32(p[0:]))
 	sum := binary.LittleEndian.Uint32(p[4:])
 	if len(p) < frameHeaderSize+bodyLen {
-		return nil, 0, fmt.Errorf("%w (%w): body wants %d bytes", ErrTruncated, ErrCorrupt, bodyLen)
+		return 0, fmt.Errorf("%w (%w): body wants %d bytes", ErrTruncated, ErrCorrupt, bodyLen)
 	}
 	body := p[frameHeaderSize : frameHeaderSize+bodyLen]
 	if crc32.ChecksumIEEE(body) != sum {
-		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+		return 0, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	d := recordDecoder{buf: body}
-	r := &Record{}
+	*r = Record{}
 	r.Type = RecordType(d.u8())
 	r.LSN = LSN(d.u64())
 	r.TxID = TxID(d.u32())
@@ -253,13 +265,13 @@ func DecodeRecord(p []byte) (*Record, int, error) {
 	case TypeCheckpointEnd:
 		r.Payload = d.bytes32()
 	default:
-		return nil, 0, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, uint8(r.Type))
+		return 0, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, uint8(r.Type))
 	}
 	if d.err != nil {
-		return nil, 0, d.err
+		return 0, d.err
 	}
 	if d.off != len(body) {
-		return nil, 0, fmt.Errorf("%w: %d trailing bytes in body", ErrCorrupt, len(body)-d.off)
+		return 0, fmt.Errorf("%w: %d trailing bytes in body", ErrCorrupt, len(body)-d.off)
 	}
-	return r, frameHeaderSize + bodyLen, nil
+	return frameHeaderSize + bodyLen, nil
 }

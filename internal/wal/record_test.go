@@ -27,6 +27,17 @@ func sampleRecords() []*Record {
 	}
 }
 
+// clone returns a deep copy of the record, so a test can adjust a fixture
+// without aliasing it.  The log itself never copies records: every
+// reader decodes a fresh one from the record's frame.
+func (r *Record) clone() *Record {
+	c := *r
+	c.Before = append([]byte(nil), r.Before...)
+	c.After = append([]byte(nil), r.After...)
+	c.Payload = append([]byte(nil), r.Payload...)
+	return &c
+}
+
 // normalize maps nil byte slices to empty so reflect.DeepEqual tolerates the
 // decoder's empty-slice representation.
 func normalize(r *Record) *Record {

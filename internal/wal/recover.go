@@ -5,9 +5,10 @@ import (
 	"fmt"
 )
 
-// decodedSegment is the result of decoding one segment image: the record
-// frames that survived on the device, their offsets, and whether the
-// image ended in a torn (partially written) frame.
+// decodedSegment is the result of walking one segment image: the frames
+// that survived on the device, their offsets, and whether the image ended
+// in a torn (partially written) frame.  recs is filled only on request
+// (ReadDurable); opening a log validates the frames without keeping them.
 type decodedSegment struct {
 	hdr     segmentHeader
 	data    []byte // frame bytes that decoded cleanly (header excluded)
@@ -16,20 +17,29 @@ type decodedSegment struct {
 	torn    bool // image had trailing bytes that did not decode
 }
 
-// decodeSegmentImage parses a raw segment image (header + frames).  A
-// trailing partial frame — the signature of a crash between WriteAt and
-// Sync — is reported via torn, not as an error; density violations and
-// interior corruption are errors.
-func decodeSegmentImage(buf []byte) (*decodedSegment, error) {
+// decodeSegmentImage walks a raw segment image (header + frames) with the
+// one record decoder, checking framing, checksums, body structure and
+// LSN density.  A trailing partial frame — the signature of a crash
+// between WriteAt and Sync — is reported via torn, not as an error;
+// density violations and interior corruption are errors.  With keep
+// unset every frame decodes into one scratch record, so the walk
+// allocates no Record; with keep set the decoded records, aliasing buf,
+// are returned in recs.
+func decodeSegmentImage(buf []byte, keep bool) (*decodedSegment, error) {
 	hdr, err := decodeSegmentHeader(buf)
 	if err != nil {
 		return nil, err
 	}
 	d := &decodedSegment{hdr: hdr}
 	body := buf[segmentHeaderSize:]
+	var scratch Record
 	off := 0
 	for off < len(body) {
-		r, n, err := DecodeRecord(body[off:])
+		r := &scratch
+		if keep {
+			r = &Record{}
+		}
+		n, err := DecodeRecordInto(body[off:], r)
 		if err != nil {
 			if errors.Is(err, ErrTruncated) {
 				d.torn = true
@@ -37,17 +47,34 @@ func decodeSegmentImage(buf []byte) (*decodedSegment, error) {
 			}
 			return nil, fmt.Errorf("segment %d at offset %d: %w", hdr.num, off, err)
 		}
-		want := hdr.firstLSN + LSN(len(d.recs))
+		want := hdr.firstLSN + LSN(len(d.offsets))
 		if r.LSN != want {
 			return nil, fmt.Errorf("%w: segment %d record at offset %d has LSN %d, want %d",
 				ErrCorrupt, hdr.num, off, r.LSN, want)
 		}
 		d.offsets = append(d.offsets, off)
-		d.recs = append(d.recs, r)
+		if keep {
+			d.recs = append(d.recs, r)
+		}
 		off += n
 	}
 	d.data = body[:off]
 	return d, nil
+}
+
+// readSegment opens the named segment device and walks its image (see
+// decodeSegmentImage).
+func readSegment(dir Dir, name string, keep bool) (Store, *decodedSegment, error) {
+	dev, err := dir.Open(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	buf, err := readAll(dev)
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := decodeSegmentImage(buf, keep)
+	return dev, d, err
 }
 
 // loadFromDir (re)initializes the log from its directory: pick the
@@ -94,20 +121,12 @@ func (l *Log) loadFromDir() error {
 	var live []*segment
 	var dropped []uint64
 	for _, e := range m.segs {
-		dev, err := l.dir.Open(segmentName(e.num))
-		if err != nil {
-			return fmt.Errorf("wal: open segment %d: %w", e.num, err)
-		}
-		buf, err := readAll(dev)
-		if err != nil {
-			return fmt.Errorf("wal: read segment %d: %w", e.num, err)
-		}
-		d, err := decodeSegmentImage(buf)
+		dev, d, err := readSegment(l.dir, segmentName(e.num), false)
 		if err != nil {
 			// A listed segment's header was synced before the manifest
 			// listing it; an unreadable header here is real corruption,
 			// not a crash artifact.
-			return fmt.Errorf("wal: %w", err)
+			return fmt.Errorf("wal: segment %d: %w", e.num, err)
 		}
 		if d.hdr.num != e.num || d.hdr.firstLSN != e.firstLSN {
 			return fmt.Errorf("%w: segment %d header (num %d, firstLSN %d) disagrees with manifest entry (firstLSN %d)",
@@ -116,7 +135,7 @@ func (l *Log) loadFromDir() error {
 		if e.firstLSN > head+1 {
 			// Unreachable past the durable head: the segment was created
 			// by a rotation whose volatile tail died with the process.
-			if len(d.recs) > 0 {
+			if len(d.offsets) > 0 {
 				return fmt.Errorf("%w: segment %d holds records %d.. after durable head %d",
 					ErrCorrupt, e.num, e.firstLSN, head)
 			}
@@ -142,11 +161,11 @@ func (l *Log) loadFromDir() error {
 			firstLSN:     e.firstLSN,
 			dev:          dev,
 			data:         d.data,
+			size:         int64(len(d.data)),
 			offsets:      d.offsets,
-			cache:        d.recs,
 			flushedBytes: int64(len(d.data)),
 		})
-		head = e.firstLSN + LSN(len(d.recs)) - 1
+		head = e.firstLSN + LSN(len(d.offsets)) - 1
 	}
 	if head < l.base {
 		return fmt.Errorf("%w: durable head %d below archived base %d", ErrCorrupt, head, l.base)
@@ -154,6 +173,10 @@ func (l *Log) loadFromDir() error {
 
 	l.segs = live
 	l.flushedLSN = head
+	for _, s := range live[:len(live)-1] {
+		s.data = nil // sealed and durable: its frames are read from dev
+	}
+	l.met.resident.Set(l.residentLocked())
 	if len(dropped) > 0 {
 		// Make the pruned segment set durable BEFORE deleting any file:
 		// a listed segment must always exist.
@@ -179,16 +202,12 @@ func (l *Log) loadFromDir() error {
 func (l *Log) initFreshDir(names []string) error {
 	for _, name := range names {
 		if num, ok := parseNumbered(name, "seg-"); ok {
-			dev, err := l.dir.Open(name)
-			if err != nil {
-				return fmt.Errorf("wal: open: %w", err)
-			}
-			buf, err := readAll(dev)
-			if err != nil {
-				return fmt.Errorf("wal: open: %w", err)
-			}
-			if d, err := decodeSegmentImage(buf); err == nil && len(d.recs) > 0 {
+			_, d, err := readSegment(l.dir, name, false)
+			if d != nil && len(d.offsets) > 0 {
 				return fmt.Errorf("%w: segment %d holds records", ErrNoManifest, num)
+			}
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				return fmt.Errorf("wal: open: %w", err)
 			}
 		} else if _, ok := parseNumbered(name, "manifest-"); !ok {
 			continue // unknown name: not ours to delete
@@ -214,6 +233,7 @@ func (l *Log) initFreshDir(names []string) error {
 		return err
 	}
 	l.met.segments.Set(1)
+	l.met.resident.Set(0)
 	return nil
 }
 
@@ -268,15 +288,7 @@ func ReadDurable(dir Dir) (base LSN, recs []*Record, err error) {
 		head = m.segs[0].firstLSN - 1
 	}
 	for _, e := range m.segs {
-		dev, err := dir.Open(segmentName(e.num))
-		if err != nil {
-			return NilLSN, nil, err
-		}
-		buf, err := readAll(dev)
-		if err != nil {
-			return NilLSN, nil, err
-		}
-		d, err := decodeSegmentImage(buf)
+		_, d, err := readSegment(dir, segmentName(e.num), true)
 		if err != nil {
 			return NilLSN, nil, err
 		}

@@ -11,9 +11,9 @@ import (
 var ErrSubscriptionClosed = errors.New("wal: subscription closed")
 
 // Subscription is a tailing cursor over the durable prefix of a Log: it
-// delivers flushed records in strict LSN order, blocking until the
-// durable horizon advances, and pins log retention so Archive never
-// discards a record the subscriber has not acknowledged.
+// delivers the frames of flushed records in strict LSN order, blocking
+// until the durable horizon advances, and pins log retention so Archive
+// never discards a record the subscriber has not acknowledged.
 //
 // The replication primary holds one Subscription per attached replica:
 // Next feeds the shipping loop, Ack follows the replica's durability
@@ -52,12 +52,13 @@ func (l *Log) Subscribe(from LSN) (*Subscription, error) {
 }
 
 // Next blocks until at least one durable record at or past the cursor
-// exists, then returns up to max of them (max <= 0 means no bound) in
-// LSN order and advances the cursor.  The returned records are deep
-// copies.  It returns an error wrapping ErrSubscriptionClosed once the
-// subscription is closed; records delivered before the close remain
-// valid.
-func (s *Subscription) Next(max int) ([]*Record, error) {
+// exists, then returns up to max of them (max <= 0 means no bound) as
+// their encoded frames, in LSN order and concatenated exactly as the log
+// holds them, together with the LSN of the last one; the cursor advances
+// past it.  frames is the caller's own copy; DecodeRecord splits it.  It
+// returns an error wrapping ErrSubscriptionClosed once the subscription
+// is closed; frames delivered before the close remain valid.
+func (s *Subscription) Next(max int) (frames []byte, last LSN, err error) {
 	l := s.l
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -65,28 +66,26 @@ func (s *Subscription) Next(max int) ([]*Record, error) {
 		l.tailCond.Wait()
 	}
 	if s.closed {
-		return nil, s.err
+		return nil, NilLSN, s.err
 	}
 	if s.cursor <= l.base {
 		// Cannot happen while the pin holds (Archive clamps to pin-1 and
 		// pin <= cursor); defensive.
-		return nil, errArchived(s.cursor, l.base)
+		return nil, NilLSN, errArchived(s.cursor, l.base)
 	}
 	end := l.flushedLSN
 	if max > 0 && end-s.cursor+1 > LSN(max) {
 		end = s.cursor + LSN(max) - 1
 	}
-	out := make([]*Record, 0, end-s.cursor+1)
-	for lsn := s.cursor; lsn <= end; lsn++ {
-		r := l.recordAtLocked(lsn)
-		if r == nil {
-			// Cannot happen: the pin kept every LSN >= cursor live.
-			return nil, fmt.Errorf("%w: %d", ErrNoSuchLSN, lsn)
+	for _, sh := range l.shardsLocked(s.cursor, end) {
+		run, err := sh.Frames()
+		if err != nil {
+			return nil, NilLSN, err
 		}
-		out = append(out, r.clone())
+		frames = append(frames, run...)
 	}
 	s.cursor = end + 1
-	return out, nil
+	return frames, end, nil
 }
 
 // Ack records that the subscriber has made every record with LSN <= upTo

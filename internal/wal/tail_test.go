@@ -8,6 +8,28 @@ import (
 	"time"
 )
 
+// nextRecords calls sub.Next and decodes the frames it ships, checking
+// that the reported last LSN is the last frame's.
+func nextRecords(sub *Subscription, max int) ([]*Record, error) {
+	frames, last, err := sub.Next(max)
+	if err != nil {
+		return nil, err
+	}
+	var recs []*Record
+	for len(frames) > 0 {
+		r, n, err := DecodeRecord(frames)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, r)
+		frames = frames[n:]
+	}
+	if len(recs) == 0 || recs[len(recs)-1].LSN != last {
+		return nil, fmt.Errorf("Next reported last LSN %d for %d frames", last, len(recs))
+	}
+	return recs, nil
+}
+
 func TestSubscribeDeliversFlushedRecordsInOrder(t *testing.T) {
 	l := newMemLog(t)
 	for i := 1; i <= 5; i++ {
@@ -21,7 +43,7 @@ func TestSubscribeDeliversFlushedRecordsInOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	recs, err := sub.Next(0)
+	recs, err := nextRecords(sub, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +59,7 @@ func TestSubscribeDeliversFlushedRecordsInOrder(t *testing.T) {
 	// Flushing more wakes a blocked Next.
 	done := make(chan []*Record, 1)
 	go func() {
-		recs, err := sub.Next(0)
+		recs, err := nextRecords(sub, 0)
 		if err != nil {
 			t.Error(err)
 		}
@@ -67,7 +89,7 @@ func TestSubscribeNextHonorsMax(t *testing.T) {
 	}
 	defer sub.Close()
 	for want := LSN(1); want <= 6; want += 2 {
-		recs, err := sub.Next(2)
+		recs, err := nextRecords(sub, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +159,7 @@ func TestSubscribeBelowBaseNeedsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	recs, err := sub.Next(1)
+	recs, err := nextRecords(sub, 1)
 	if err != nil || len(recs) != 1 || recs[0].LSN != 4 {
 		t.Fatalf("Next = %v, %v", recs, err)
 	}
@@ -151,7 +173,7 @@ func TestSubscriptionClosedByCloseAndCrash(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := sub.Next(0)
+		_, err := nextRecords(sub, 0)
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -167,7 +189,7 @@ func TestSubscriptionClosedByCloseAndCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		_, err := sub2.Next(0)
+		_, err := nextRecords(sub2, 0)
 		errc <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -200,7 +222,7 @@ func TestSubscribeDeliveredUnderGroupFlush(t *testing.T) {
 	}
 	var got []LSN
 	for len(got) < n {
-		recs, err := sub.Next(0)
+		recs, err := nextRecords(sub, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
